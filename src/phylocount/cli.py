@@ -154,6 +154,8 @@ def _cmd_count(args) -> int:
             raise UsageError("--rets is required (or use --method treesum for totals)")
     if rets < 0:
         raise UsageError("--rets must be >= 0")
+    if args.trunc_order is not None and args.trunc_order < 0:
+        raise UsageError("--trunc-order must be >= 0")
     method = args.method
     validity = "validated"
     bound = _bound_for(cls, leaves)
@@ -309,23 +311,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_asympt(args) -> int:
     cls, rets = args.cls, args.rets
+    if rets < 0:
+        raise UsageError("--rets must be >= 0")
     if rets > 3:
         raise UsageError("asymptotic comparison supports rets <= 3")
     try:
         leaf_list = [int(part) for part in args.leaves.split(",")]
     except ValueError:
         raise UsageError("--leaves must be a comma-separated list of integers")
-    for leaves in leaf_list:
-        if rets == 0:
-            count = onecomp.tree_count(leaves)
-        elif rets == 1:
-            count = onecomp.single_reticulation_count(leaves)
-        elif cls == "gn":
-            count = galled.galled_closed_form(leaves, rets)
-        else:
-            count = retvis.rv_closed_form(leaves, rets)
+    counts = [_asympt_count(cls, leaves, rets) for leaves in leaf_list]
+    for leaves, count in zip(leaf_list, counts):
         mantissa, exponent = galled.asymptotic_main_term(leaves, rets)
-        ratio = galled.asymptotic_ratio(int(count), leaves, rets)
+        ratio = galled.asymptotic_ratio(count, leaves, rets)
         print(
             json.dumps(
                 {
@@ -341,6 +338,31 @@ def _cmd_asympt(args) -> int:
             )
         )
     return 0
+
+
+def _asympt_count(cls: str, leaves: int, rets: int) -> int:
+    """Exact count behind one asympt row: a positive integer from a formula
+    validated at this cell, or a usage error."""
+    if leaves < 1:
+        raise UsageError("--leaves values must be >= 1")
+    if rets > _bound_for(cls, leaves):
+        raise UsageError(
+            f"no {cls} networks with {leaves} leaves and {rets} reticulations; "
+            "the ratio needs a positive count"
+        )
+    if rets == 0:
+        return onecomp.tree_count(leaves)
+    if rets == 1:
+        return onecomp.single_reticulation_count(leaves)
+    module = galled if cls == "gn" else retvis
+    threshold = module.closed_form_threshold(rets)
+    if leaves < threshold:
+        raise UsageError(
+            f"the {cls} closed form for rets={rets} is validated for leaves >= {threshold}"
+        )
+    if cls == "gn":
+        return galled.galled_closed_form(leaves, rets)
+    return retvis.rv_closed_form(leaves, rets)
 
 
 def _cmd_enumerate(args) -> int:

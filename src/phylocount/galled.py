@@ -1,7 +1,7 @@
 """Galled-network counts: series recurrence, closed forms, tree sums, asymptotics.
 
 The series route builds the EGF for k reticulations out of the shifted block
-series via the composition recurrence; the closed forms for k = 2, 3 are
+series via the power-table recurrence; the closed forms for k = 2, 3 are
 polynomial-times-double-factorial expressions whose validity range is
 discovered by comparison against the series, never assumed.
 """
@@ -12,8 +12,6 @@ import math
 import threading
 from fractions import Fraction
 from itertools import product
-
-import mpmath
 
 from phylocount.series import Egf, SqrtPoly, double_factorial
 from phylocount.onecomp import (
@@ -50,18 +48,16 @@ def galled_egf(rets: int, order: int) -> Egf:
     if rets == 0:
         result = block_egf(0, order)  # trees: 1 - sqrt(1-2z)
     else:
-        total = Egf.zero(order)
+        # G_k = sum_j F_j / j! [v^(k-j)] G(v)^j, with G(v)^j built up power
+        # by power and truncated in v to the degree the next terms need
         lower = [galled_egf(i, order) for i in range(rets)]
+        result = Egf.zero(order)
+        g_pow = [Egf.one(order)]
         for j in range(1, rets + 1):
-            shift = block_shift_egf(j, order)
-            inner = Egf.zero(order)
-            for combo in _compositions(rets - j, j):
-                term = Egf.one(order)
-                for part in combo:
-                    term = term * lower[part]
-                inner = inner + term
-            total = total + shift.scale(Fraction(1, math.factorial(j))) * inner
-        result = total
+            g_pow = _bivariate_mul(g_pow, lower, rets - j)
+            result = result + (block_shift_egf(j, order) * g_pow[rets - j]).scale(
+                Fraction(1, math.factorial(j))
+            )
     with _lock:
         _egf_memo[key] = result
     return result
@@ -161,22 +157,28 @@ def generating_identity_check(max_rets: int, order: int, _egfs=None):
     the class equals a block chosen at the top with lower networks substituted
     at its reticulation leaves.
 
-    Returns (True, None) or (False, (rets, power)) at the first bad coefficient.
-    `_egfs` lets tests inject a corrupted series family.
+    The right-hand side expands [v^(k-j)] G(v)^j over every ordered
+    composition of k - j into j parts, independently of the power table
+    that :func:`galled_egf` uses.  Returns (True, None) or
+    (False, (rets, power)) at the first bad coefficient.  `_egfs` lets tests
+    inject a corrupted series family.
     """
     K, T = max_rets, order
     egfs = _egfs if _egfs is not None else [galled_egf(k, T) for k in range(K + 1)]
-    shifts = [block_shift_egf(j, T) for j in range(K + 1)]
-    rhs = [Egf.zero(T) for _ in range(K + 1)]
-    rhs[0] = rhs[0] + shifts[0]
-    g_pow = [Egf.one(T)]  # bivariate coefficients of G(z, v)^j, truncated in v
-    for j in range(1, K + 1):
-        g_pow = _bivariate_mul(g_pow, egfs, K)
-        for k in range(j, K + 1):
-            if k - j < len(g_pow):
-                rhs[k] = rhs[k] + (shifts[j] * g_pow[k - j]).scale(
-                    Fraction(1, math.factorial(j))
-                )
+    rhs = [block_shift_egf(0, T)]
+    for k in range(1, K + 1):
+        total = Egf.zero(T)
+        for j in range(1, k + 1):
+            inner = Egf.zero(T)
+            for combo in _compositions(k - j, j):
+                term = Egf.one(T)
+                for part in combo:
+                    term = term * egfs[part]
+                inner = inner + term
+            total = total + (block_shift_egf(j, T) * inner).scale(
+                Fraction(1, math.factorial(j))
+            )
+        rhs.append(total)
     for k in range(K + 1):
         if rhs[k] != egfs[k]:
             for n in range(T + 1):
@@ -311,6 +313,8 @@ def asymptotic_ratio(count: int, leaves: int, rets: int) -> float:
 
 def gamma_half_identity_check(k_max: int, rel_tol: float = 1e-12) -> bool:
     """Check Gamma(2k - 1/2) == 2^(1-2k) (4k-3)!! sqrt(pi) for 1 <= k <= k_max."""
+    import mpmath  # only this check needs it; importing it slows every start
+
     with mpmath.workdps(40):
         for k in range(1, k_max + 1):
             lhs = mpmath.gamma(2 * k - mpmath.mpf(1) / 2)

@@ -9,6 +9,7 @@ Every multi-component count in the package is assembled from these blocks.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from phylocount.series import (
 )
 
 _lock = threading.Lock()
-_block_memo: dict[tuple[int, int], int] = {}
+# _block_table[k][l] == block_count(l, k); columns only grow, and column k is
+# never longer than column k - 1
+_block_table: list[list[int]] = []
 
 
 def block_count(leaves: int, rets: int) -> int:
@@ -29,37 +32,53 @@ def block_count(leaves: int, rets: int) -> int:
     reticulations, reticulation leaves labeled 1..rets.
 
     Zero outside 1 <= leaves and 0 <= rets <= leaves.  Values are produced by
-    the two-term recurrence with a correction sum; the correction is always
-    even, which is asserted rather than assumed.
+    the two-term recurrence with a correction sum, filled bottom-up into a
+    per-rets table; the correction is always even, which is checked rather
+    than assumed.
     """
     if leaves < 1 or rets < 0 or rets > leaves:
         return 0
-    if rets == 0:
-        return double_factorial(2 * leaves - 3)
-    if rets == 1:
-        return (leaves - 1) * double_factorial(2 * leaves - 3)
-    key = (leaves, rets)
+    table = _block_table
+    if rets < len(table) and leaves < len(table[rets]):
+        return table[rets][leaves]
     with _lock:
-        cached = _block_memo.get(key)
-    if cached is not None:
-        return cached
-    l, k = leaves, rets
-    value = (l + k - 2) * block_count(l, k - 1) + (k - 1) * block_count(l, k - 2)
-    correction = 0
-    for d in range(1, k):
-        correction += (
-            math.comb(k - 1, d)
-            * double_factorial(2 * d - 1)
-            * (block_count(l - d, k - 1 - d) - block_count(l + 1 - d, k - 1 - d))
-        )
-    if correction % 2:
-        raise ArithmeticError(f"odd correction sum at (leaves={l}, rets={k})")
-    value += correction // 2
-    if value < 0:
-        raise ArithmeticError(f"negative block count at (leaves={l}, rets={k})")
-    with _lock:
-        _block_memo[key] = value
-    return value
+        _fill_block_table(leaves, rets)
+        return table[rets][leaves]
+
+
+def _fill_block_table(leaves: int, rets: int) -> None:
+    """Extend columns 0..rets of the block table through row `leaves`."""
+    table = _block_table
+    for k in range(rets + 1):
+        if k == len(table):
+            table.append([0])
+        column = table[k]
+        if len(column) > leaves:
+            continue
+        # weights C(k-1, d) (2d-1)!! of the correction sum, d = 1..k-1
+        weights = []
+        odd_factorial = 1
+        for d in range(1, k):
+            odd_factorial *= 2 * d - 1
+            weights.append(math.comb(k - 1, d) * odd_factorial)
+        lower = [table[k - 1 - d] for d in range(1, k)]
+        for l in range(len(column), leaves + 1):
+            if l < k:
+                value = 0
+            elif k == 0:
+                value = (2 * l - 3) * column[l - 1] if l > 1 else 1  # (2l-3)!!
+            elif k == 1:
+                value = (l - 1) * table[0][l]
+            else:
+                value = (l + k - 2) * table[k - 1][l] + (k - 1) * table[k - 2][l]
+                diffs = [col[l - d] - col[l + 1 - d] for d, col in enumerate(lower, start=1)]
+                correction = sum(map(operator.mul, weights, diffs))
+                if correction % 2:
+                    raise ArithmeticError(f"odd correction sum at (leaves={l}, rets={k})")
+                value += correction // 2
+                if value < 0:
+                    raise ArithmeticError(f"negative block count at (leaves={l}, rets={k})")
+            column.append(value)
 
 
 def one_component_count(leaves: int, rets: int) -> int:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import mpmath
-
 from phylocount.networks import (
     ComponentGraph,
     Network,
@@ -361,15 +359,12 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
             child = tc.children[w][0]
             if not tc.leaf_labels[child]:
                 rep[find(child)] = find(w)  # merge the follow-up tree vertex
-    comp_of: dict[int, int] = {}
-    order: list[int] = []
     internal = [
         v for v in range(tc.n) if v != tc.root and not tc.leaf_labels[v]
     ]
     terminal_leaves = [
         v for v in range(tc.n) if tc.leaf_labels[v] and indeg[find_parent(tc, v)] != 2
     ]
-    roots = [find(top)]
     members: dict[int, list[int]] = {}
     for v in internal + [top]:
         members.setdefault(find(v), []).append(v)
@@ -453,6 +448,8 @@ def max_reticulation_summary(leaves: int) -> dict[str, int]:
 def airy_first_root() -> float:
     """Largest (least negative) root of the Airy function of the first kind,
     found by bisection plus Newton polish on mpmath's Airy evaluation."""
+    import mpmath  # only this function needs it; importing it slows every start
+
     with mpmath.workdps(30):
         root = mpmath.findroot(mpmath.airyai, mpmath.mpf("-2.338107"))
         return float(root)

@@ -411,5 +411,8 @@ def galled_series_reference(leaves: int, rets: int) -> int:
     value = total.coeff(leaves) * math.factorial(leaves)
     if value.denominator != 1:
         raise ArithmeticError("non-integral tree-pattern total")
-    assert value.numerator == galled_egf(rets, leaves).count(leaves)
+    if value.numerator != galled_egf(rets, leaves).count(leaves):
+        raise ArithmeticError(
+            f"tree-pattern total disagrees with the galled series at (leaves={leaves}, rets={rets})"
+        )
     return value.numerator

@@ -3,8 +3,12 @@
 Two representations are used throughout the package:
 
 - :class:`Egf`, a truncated power series sum c_n z^n with exact rational
-  coefficients.  When the series is an exponential generating function for a
-  counting sequence, the counts are recovered as n! * c_n.
+  coefficients, stored as the integers nums[n] = n! * c_n * den over one
+  positive common denominator den in lowest terms.  For the exponential
+  generating function of a counting sequence den is 1 and nums are the
+  counts themselves; a product is a binomial convolution of integers, and a
+  count is an exact division.  Fractions appear only where a caller asks
+  for a coefficient or scales by a rational weight.
 - :class:`SqrtPoly`, a finite Laurent polynomial in x = sqrt(1 - 2z).  Every
   closed-form generating function handled here normalises into this algebra
   (z itself is (1 - x^2)/2).
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -132,52 +137,97 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Egf:
-    """Truncated series sum_{n<=order} coeffs[n] z^n with Fraction coefficients.
+    """Truncated series sum_{n<=order} c_n z^n with exact rational coefficients.
 
+    Stored as integer counts over one common denominator: nums[n] equals
+    n! * c_n * den, with den > 0 and gcd(den, *nums) == 1, so equal values
+    have equal fields.  A product is the binomial convolution of the counts.
     Binary operations truncate to the smaller order of the two operands;
     nothing ever extends a truncation silently.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence):
+        """Series with the given coefficients c_0, c_1, ... (ints or Fractions)."""
+        if not coeffs:
             raise ValueError("an Egf needs at least the constant coefficient")
+        scaled = []
+        fact = 1
+        for n, c in enumerate(coeffs):
+            if n:
+                fact *= n
+            scaled.append(_as_fraction(c) * fact)
+        den = math.lcm(*(c.denominator for c in scaled))
+        nums = tuple(c.numerator * (den // c.denominator) for c in scaled)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _of(nums: tuple[int, ...], den: int = 1) -> "Egf":
+        """Series with counts `nums` over `den` > 0, normalised."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(v // g for v in nums)
+        egf = object.__new__(Egf)
+        object.__setattr__(egf, "nums", nums)
+        object.__setattr__(egf, "den", den)
+        return egf
 
     @staticmethod
     def from_coeffs(values: Iterable) -> "Egf":
-        return Egf(tuple(_as_fraction(v) for v in values))
+        return Egf(tuple(values))
 
     @staticmethod
     def from_counts(counts: Sequence[int]) -> "Egf":
         """Series with coefficient counts[n] / n! (EGF of a counting sequence)."""
-        return Egf(tuple(Fraction(c, math.factorial(n)) for n, c in enumerate(counts)))
+        nums = tuple(map(operator.index, counts))
+        if not nums:
+            raise ValueError("an Egf needs at least the constant coefficient")
+        return Egf._of(nums)
 
     @staticmethod
     def zero(order: int) -> "Egf":
-        return Egf((Fraction(0),) * (order + 1))
+        return Egf._of((0,) * (order + 1))
 
     @staticmethod
     def one(order: int) -> "Egf":
-        return Egf((Fraction(1),) + (Fraction(0),) * order)
+        return Egf._of((1,) + (0,) * order)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        out = []
+        fact = 1
+        for n, v in enumerate(self.nums):
+            if n:
+                fact *= n
+            out.append(Fraction(v, fact * self.den))
+        return tuple(out)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.nums[n], math.factorial(n) * self.den)
 
     def count(self, n: int) -> int:
-        """n! * coeffs[n], asserted to be an integer."""
-        value = self.coeff(n) * math.factorial(n)
-        if value.denominator != 1:
-            raise ArithmeticError(f"coefficient of z^{n} is not 1/{n}! integral: {value}")
-        return value.numerator
+        """n! * c_n, checked to be an integer."""
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
+        value, rest = divmod(self.nums[n], self.den)
+        if rest:
+            raise ArithmeticError(
+                f"coefficient of z^{n} is not 1/{n}! integral: {Fraction(self.nums[n], self.den)}"
+            )
+        return value
 
     def counts(self) -> list[int]:
         return [self.count(n) for n in range(self.order + 1)]
@@ -185,45 +235,50 @@ class Egf:
     def truncate(self, order: int) -> "Egf":
         if order > self.order:
             raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return Egf(self.coeffs[: order + 1])
+        return Egf._of(self.nums[: order + 1], self.den)
+
+    def _combine(self, other: "Egf", op) -> "Egf":
+        t = min(self.order, other.order) + 1
+        a, b = self.nums[:t], other.nums[:t]
+        da, db = self.den, other.den
+        if da == db:
+            return Egf._of(tuple(map(op, a, b)), da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return Egf._of(tuple(op(x * ma, y * mb) for x, y in zip(a, b)), da * ma)
 
     def __add__(self, other: "Egf") -> "Egf":
-        t = min(self.order, other.order)
-        return Egf(tuple(self.coeffs[n] + other.coeffs[n] for n in range(t + 1)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Egf") -> "Egf":
-        t = min(self.order, other.order)
-        return Egf(tuple(self.coeffs[n] - other.coeffs[n] for n in range(t + 1)))
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other) -> "Egf":
         if isinstance(other, Egf):
             t = min(self.order, other.order)
-            out = []
-            for n in range(t + 1):
-                out.append(sum((self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1)),
-                               Fraction(0)))
-            return Egf(tuple(out))
+            return Egf._of(_binomial_convolution(self.nums, other.nums, t), self.den * other.den)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Egf":
         f = _as_fraction(factor)
-        return Egf(tuple(c * f for c in self.coeffs))
+        p = f.numerator
+        return Egf._of(tuple(v * p for v in self.nums), self.den * f.denominator)
 
     def diff(self, k: int = 1) -> "Egf":
-        """k-fold formal derivative d^k/dz^k; the order drops by k."""
+        """k-fold formal derivative d^k/dz^k; the order drops by k.
+
+        n! times the z^n coefficient of the derivative is (n+1)! c_{n+1}, so
+        on counts the derivative is a shift."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k > self.order:
             raise ValueError(f"cannot differentiate {k} times at order {self.order}")
-        coeffs = self.coeffs
-        for _ in range(k):
-            coeffs = tuple(n * coeffs[n] for n in range(1, len(coeffs)))
-        return Egf(coeffs)
+        return Egf._of(self.nums[k:], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def to_json(self) -> str:
         triples = [[n, c.numerator, c.denominator] for n, c in enumerate(self.coeffs)]
@@ -238,6 +293,26 @@ class Egf:
         for n, num, den in data["coeffs"]:
             coeffs[n] = Fraction(num, den)
         return Egf(tuple(coeffs))
+
+
+def _binomial_convolution(a: Sequence[int], b: Sequence[int], t: int) -> tuple[int, ...]:
+    """out[n] = sum_i C(n, i) a[i] b[n-i] for n <= t: the counts of the
+    product of the EGFs with counts a and b."""
+    out = [0] * (t + 1)
+    ia = next((i for i in range(t + 1) if a[i]), None)
+    ib = next((i for i in range(t + 1) if b[i]), None)
+    if ia is None or ib is None:
+        return tuple(out)
+    rb = b[t::-1]  # rb[m] == b[t - m]
+    row = [1]  # Pascal row n
+    for n in range(1, ia + ib + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    for n in range(ia + ib, t + 1):
+        hi = n - ib + 1
+        weighted = map(operator.mul, row[ia:hi], a[ia:hi])
+        out[n] = sum(map(operator.mul, weighted, rb[t - n + ia : t - ib + 1]))
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from phylocount.cli import main
 from phylocount import io
 from phylocount.networks import Network
@@ -102,6 +104,23 @@ def test_asympt_output(capsys):
     lines = [json.loads(line) for line in out.strip().split("\n")]
     ratios = [float(line["ratio"]) for line in lines]
     assert abs(ratios[1] - 1) < abs(ratios[0] - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "asympt --class rv --rets 3 --leaves 1",
+        "asympt --class gn --rets -1 --leaves 5",
+        "asympt --class gn --rets 3 --leaves 1",
+        "count --class gn --leaves 5 --rets 2 --trunc-order -3",
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_writes_files(tmp_path, capsys):

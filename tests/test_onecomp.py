@@ -47,6 +47,23 @@ def test_block_recurrence_matches_closed_forms():
         assert block_count(l, 2) == block_closed_two(l)
 
 
+def test_block_count_needs_no_recursion_depth():
+    import sys
+
+    limit = sys.getrecursionlimit()
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    sys.setrecursionlimit(depth + 50)
+    try:
+        value = block_count(90, 80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(value, int) and value > 0
+
+
 def test_block_values_nonnegative_up_to_60():
     for l in range(1, 61):
         for k in range(0, l + 1):
@@ -113,7 +130,7 @@ def test_block_counts_safe_under_concurrent_calls():
     import phylocount.onecomp as oc
 
     expected = {(l, k): block_count(l, k) for l in range(1, 31) for k in range(0, l + 1)}
-    oc._block_memo.clear()
+    oc._block_table.clear()
     results: list[dict] = [dict() for _ in range(4)]
 
     def worker(slot: int):

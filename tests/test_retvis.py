@@ -24,7 +24,7 @@ from phylocount.retvis import (
     vanishing_certificate,
     vertex_egf,
 )
-from phylocount.series import SqrtPoly
+from phylocount.series import Egf, SqrtPoly
 
 
 def test_catalog_sizes():
@@ -180,6 +180,18 @@ def test_tree_like_split():
 def test_tree_like_patterns_count_galled_networks():
     assert galled_series_reference(3, 3) == 114
     assert galled_series_reference(4, 2) == 1575
+
+
+def test_tree_like_reference_raises_on_disagreement(monkeypatch):
+    import phylocount.retvis as rv
+
+    def off_by_one(rets, order):
+        series = galled_egf(rets, order)
+        return series + Egf.from_counts([0] * order + [1])
+
+    monkeypatch.setattr(rv, "galled_egf", off_by_one)
+    with pytest.raises(ArithmeticError):
+        galled_series_reference(3, 3)
 
 
 def test_component_sum():

@@ -157,6 +157,52 @@ def test_z_poly_round_trip(coeffs):
     assert image.coeff_z(len(coeffs)) == 0
 
 
+def _fraction_product(a, b):
+    """Cauchy product of two coefficient sequences, truncated to the shorter."""
+    t = min(len(a), len(b))
+    return tuple(sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(t))
+
+
+def _fraction_diff(c, k):
+    for _ in range(k):
+        c = tuple(n * c[n] for n in range(1, len(c)))
+    return tuple(c)
+
+
+def egf_coefficients():
+    """Coefficient lists of both kinds the package builds: arbitrary small
+    rationals, and counting sequences (count / n!)."""
+    counts = st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=9).map(
+        lambda cs: [Fraction(c, math.factorial(n)) for n, c in enumerate(cs)]
+    )
+    return st.one_of(st.lists(small_fractions, min_size=1, max_size=9), counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(egf_coefficients(), egf_coefficients(), small_fractions, st.integers(0, 8))
+def test_integer_kernel_matches_fraction_reference(ca, cb, factor, k):
+    a, b = Egf(tuple(ca)), Egf(tuple(cb))
+    assert a.coeffs == tuple(ca) and a.order == len(ca) - 1
+    assert (a * b).coeffs == _fraction_product(ca, cb)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    assert a.scale(factor).coeffs == tuple(c * factor for c in ca)
+    assert (factor * a) == a.scale(factor)
+    k = min(k, a.order)
+    assert a.diff(k).coeffs == _fraction_diff(ca, k)
+    assert a.truncate(k).coeffs == tuple(ca[: k + 1])
+    for n, c in enumerate(ca):
+        value = c * math.factorial(n)
+        if value.denominator == 1:
+            assert a.count(n) == value.numerator
+        else:
+            with pytest.raises(ArithmeticError):
+                a.count(n)
+    # normalised storage: equal values are equal objects with equal hashes
+    assert (a == b) == (tuple(ca) == tuple(cb))
+    assert a == Egf.from_coeffs(ca) and hash(a) == hash(Egf.from_coeffs(ca))
+
+
 def test_fit_sqrt_poly_recovers_known_form():
     x = SqrtPoly.x_power
     target = SqrtPoly.of({-3: Fraction(1, 2), -1: Fraction(-1, 2)})
