@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -101,7 +100,7 @@ def _series_count(cls: str, leaves: int, rets: int, order: int | None) -> int:
     if cls == "gn":
         return galled.galled_egf(rets, order).count(leaves)
     if cls == "rv":
-        return retvis.rv_egf(rets, order).coeff(leaves) * math.factorial(leaves)
+        return retvis.rv_egf(rets, order).count(leaves)
     raise UsageError(f"no series method for class {cls!r}")
 
 
@@ -241,6 +240,7 @@ def _cmd_table(args) -> int:
     if cls == "trees" and kmax != 0:
         raise UsageError("trees support --kmax 0 only")
     columns = list(range(kmax + 1))
+    rv_columns = {}  # k -> rv series to order lmax, shared by every row
     rows = []
     for l in range(1, lmax + 1):
         row = []
@@ -259,7 +259,9 @@ def _cmd_table(args) -> int:
                     raise UsageError(
                         f"rv tables support kmax <= {retvis.MAX_PATTERN_VERTICES - 1}"
                     )
-                row.append(retvis.rv_egf(k, max(lmax, l)).coeff(l) * math.factorial(l))
+                if k not in rv_columns:
+                    rv_columns[k] = retvis.rv_egf(k, lmax)
+                row.append(rv_columns[k].count(l))
             elif k == 0:
                 row.append(onecomp.tree_count(l))
             elif k == 1 and cls in ("pn", "tc"):

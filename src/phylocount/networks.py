@@ -10,6 +10,7 @@ values; nothing here mutates.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -37,7 +38,8 @@ class Network:
 
     `children[v]` lists the children of vertex v; `leaf_labels[v]` is the
     label of leaf v and 0 for non-leaves; `root` is the vertex expected to
-    have indegree 0 and outdegree 1.
+    have indegree 0 and outdegree 1.  The validation result is computed once
+    per object and kept (see :func:`validation_errors`).
     """
 
     children: tuple[tuple[int, ...], ...]
@@ -51,6 +53,10 @@ class Network:
         for v, label in leaf_labels.items():
             labels[v] = label
         return Network(tuple(tuple(c) for c in children), tuple(labels), root)
+
+    @functools.cached_property
+    def _validation_errors(self) -> tuple[str, ...]:
+        return _find_errors(self)
 
     @property
     def n(self) -> int:
@@ -117,54 +123,69 @@ def _classify(indeg: int, outdeg: int) -> VertexKind:
 
 def validation_errors(net: Network) -> list[str]:
     """All invariant violations; an empty list means the network is valid."""
+    return list(net._validation_errors)
+
+
+def _find_errors(net: Network) -> tuple[str, ...]:
     errors = []
-    n = net.n
-    indeg = net.indegrees()
-    # simplicity: no repeated child anywhere (a repeat would be a parallel edge)
-    for v in range(n):
-        kids = net.children[v]
-        if len(kids) != len(set(kids)):
+    children, labels, root = net.children, net.leaf_labels, net.root
+    n = len(children)
+    # one pass: simplicity (a repeated child would be a parallel edge), child
+    # range, and the indegrees, which are only counted for in-range children
+    if not 0 <= root < n:
+        return (f"declared root {root} is out of range",)
+    indeg = [0] * n
+    for v, kids in enumerate(children):
+        if len(kids) > 1 and len(kids) != len(set(kids)):
             errors.append(f"parallel edges out of vertex {v}")
-        if any(not 0 <= w < n for w in kids):
-            errors.append(f"vertex {v} has an out-of-range child")
-            return errors
-    roots = [v for v in range(n) if indeg[v] == 0]
-    if roots != [net.root]:
-        errors.append(f"indegree-0 vertices {roots} do not match declared root {net.root}")
-    if len(net.children[net.root]) != 1:
+        for w in kids:
+            if not 0 <= w < n:
+                errors.append(f"vertex {v} has an out-of-range child")
+                return tuple(errors)
+            indeg[w] += 1
+    roots = [v for v in range(n) if not indeg[v]]
+    if roots != [root]:
+        errors.append(f"indegree-0 vertices {roots} do not match declared root {root}")
+    if len(children[root]) != 1:
         errors.append("root must have outdegree 1")
-    labels = sorted(lab for lab in net.leaf_labels if lab)
-    leaves = [v for v in range(n) if indeg[v] == 1 and not net.children[v]]
+    found = sorted(lab for lab in labels if lab)
+    leaves = [v for v in range(n) if indeg[v] == 1 and not children[v]]
     expected = list(range(1, len(leaves) + 1))
-    if labels != expected:
-        errors.append(f"leaf labels {labels} are not a bijection with {expected}")
+    if found != expected:
+        errors.append(f"leaf labels {found} are not a bijection with {expected}")
     for v in range(n):
-        if net.leaf_labels[v] and (net.children[v] or indeg[v] != 1):
+        if labels[v] and (children[v] or indeg[v] != 1):
             errors.append(f"labeled vertex {v} is not a leaf")
     for v in range(n):
-        if v == net.root or net.leaf_labels[v]:
+        if v == root or labels[v]:
             continue
-        if (indeg[v], len(net.children[v])) not in ((1, 2), (2, 1)):
-            errors.append(
-                f"internal vertex {v} has degrees ({indeg[v]}, {len(net.children[v])})"
-            )
-    # acyclicity and reachability from the root
+        if (indeg[v], len(children[v])) not in ((1, 2), (2, 1)):
+            errors.append(f"internal vertex {v} has degrees ({indeg[v]}, {len(children[v])})")
+    # acyclicity and reachability from the root: depth-first search on an
+    # explicit stack of child iterators, stopping at the first edge back
+    # onto the stack
     state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    def dfs(v: int) -> bool:
-        state[v] = 1
-        for w in net.children[v]:
+    state[root] = 1
+    path = [root]
+    stack = [iter(children[root])]
+    while stack:
+        for w in stack[-1]:
             if state[w] == 1:
-                return False
-            if state[w] == 0 and not dfs(w):
-                return False
-        state[v] = 2
-        return True
-    if not dfs(net.root):
-        errors.append("the edge relation has a directed cycle")
-    unreachable = [v for v in range(n) if state[v] == 0]
+                errors.append("the edge relation has a directed cycle")
+                stack.clear()
+                break
+            if not state[w]:
+                state[w] = 1
+                path.append(w)
+                stack.append(iter(children[w]))
+                break
+        else:
+            state[path.pop()] = 2
+            stack.pop()
+    unreachable = [v for v in range(n) if not state[v]]
     if unreachable:
         errors.append(f"vertices {unreachable} are unreachable from the root")
-    return errors
+    return tuple(errors)
 
 
 def is_valid(net: Network) -> bool:
@@ -247,46 +268,13 @@ def _is_visible(net: Network, v: int) -> bool:
 
 
 def is_galled(net: Network) -> bool:
-    """Every reticulation sits in a tree cycle: two edge-disjoint paths from a
-    common tree vertex whose interior vertices are all tree vertices."""
-    _require_valid(net)
-    kinds = net.kinds()
-    rets = [v for v in range(net.n) if kinds[v] is VertexKind.RETICULATION]
-    trees = [v for v in range(net.n) if kinds[v] is VertexKind.TREE]
-    return all(any(_two_edge_disjoint_paths(net, kinds, s, r) for s in trees) for r in rets)
+    """Every reticulation sits in a tree cycle.
 
-
-def _two_edge_disjoint_paths(net: Network, kinds, s: int, r: int) -> bool:
-    # Unit-capacity max flow from s to r through tree-vertex interiors only.
-    allowed = [kinds[v] is VertexKind.TREE for v in range(net.n)]
-    capacity: dict[tuple[int, int], int] = {}
-    for v in range(net.n):
-        if not allowed[v]:
-            continue
-        for w in net.children[v]:
-            if allowed[w] or w == r:
-                capacity[(v, w)] = 1
-    flow = 0
-    while flow < 2:
-        # BFS for an augmenting path in the residual graph
-        prev = {s: None}
-        queue = [s]
-        while queue and r not in prev:
-            u = queue.pop(0)
-            for (a, b), cap in capacity.items():
-                if a == u and cap > 0 and b not in prev:
-                    prev[b] = u
-                    queue.append(b)
-        if r not in prev:
-            return False
-        v = r
-        while prev[v] is not None:
-            u = prev[v]
-            capacity[(u, v)] -= 1
-            capacity[(v, u)] = capacity.get((v, u), 0) + 1
-            v = u
-        flow += 1
-    return True
+    Equivalently, the component graph with arrows ignored is a tree (Gunawan,
+    Lu & Zhang, Bioinformatics 2016); `verify` keeps the tree-cycle
+    definition as an independent max-flow reference.
+    """
+    return component_graph(net).stripped_is_tree()
 
 
 @dataclass(frozen=True)
@@ -429,16 +417,47 @@ class DagPattern:
         return canon.automorphism_count(self.m, self.edges, self.root)
 
 
+# leading byte of a canonical code: written in refinement order, or by canon
+_ORDER_TAG = b"o"
+_CANON_TAG = b"c"
+
+
 def canonical_code(net: Network) -> bytes:
     """Deterministic bytes equal for two networks iff they are isomorphic as
-    leaf-labeled rooted DAGs."""
+    leaf-labeled rooted DAGs.
+
+    Each vertex gets an invariant key: the rank of its bottom-up unfolding
+    among the network's unfoldings, with the sorted keys of its parents.
+    When the keys are pairwise distinct, sorting by key orders the vertices
+    canonically and the code is the network written in that order.  Only
+    otherwise does the general canonizer of :mod:`phylocount.canon` run.
+    Distinctness is itself an invariant, and the two kinds of code carry
+    different tags, so they never meet.
+    """
     _require_valid(net)
-    kinds = net.kinds()
-    colors = [
-        (_KIND_ORDER[kinds[v]] << 20) | net.leaf_labels[v] for v in range(net.n)
-    ]
-    edges = [(u, w, 1) for u, w in net.edges()]
-    return canon.canonical_bytes(net.n, edges, colors)
+    n = net.n
+    order, up = _unfolding(net)
+    rank = {sig: i for i, sig in enumerate(sorted(set(up)))}
+    parents = net.parents()
+    key: list = [None] * n
+    for v in order:
+        keys = [key[p] for p in parents[v]]
+        if len(keys) == 2 and keys[1] < keys[0]:
+            keys.reverse()
+        key[v] = (rank[up[v]], tuple(keys))
+    # up[v][0] is the kind's place in _KIND_ORDER
+    colors = [(up[v][0] << 20) | net.leaf_labels[v] for v in range(n)]
+    if len(set(key)) < n:
+        edges = [(u, w, 1) for u, w in net.edges()]
+        return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
+    position = [0] * n
+    for i, v in enumerate(sorted(range(n), key=key.__getitem__)):
+        position[v] = i
+    ordered_colors = [0] * n
+    for v in range(n):
+        ordered_colors[position[v]] = colors[v]
+    edges = sorted((position[u], position[w]) for u, w in net.edges())
+    return _ORDER_TAG + repr((n, tuple(ordered_colors), tuple(edges))).encode()
 
 
 def structure_key(net: Network):
@@ -447,25 +466,40 @@ def structure_key(net: Network):
     Equal keys do not in general imply isomorphism (sharing is lost), so this
     only serves as a fast pre-filter before :func:`canonical_code`.
     """
-    n = net.n
-    memo: dict[int, tuple] = {}
-    kinds = net.kinds()
-    order = _topo_order(net)
-    for v in reversed(order):
-        kids = tuple(sorted(memo[w] for w in net.children[v]))
-        if kinds[v] is VertexKind.LEAF:
-            memo[v] = (3, net.leaf_labels[v])
-        elif kinds[v] is VertexKind.RETICULATION:
-            memo[v] = (2, kids)
-        elif kinds[v] is VertexKind.TREE:
-            memo[v] = (1, kids)
-        else:
-            memo[v] = (0, kids)
-    return memo[net.root]
+    _, up = _unfolding(net)
+    return up[net.root]
 
 
-def _topo_order(net: Network) -> list[int]:
+# the _KIND_ORDER place of each binary (indegree, outdegree) pair
+_DEGREE_KIND_ORDER = {
+    degrees: _KIND_ORDER[_classify(*degrees)] for degrees in ((0, 1), (1, 2), (2, 1), (1, 0))
+}
+
+
+def _unfolding(net: Network) -> tuple[list[int], list[tuple]]:
+    """A topological order (root first) and every vertex's bottom-up
+    signature: its kind's place in `_KIND_ORDER` with the sorted signatures
+    of its children, or with its label for a leaf."""
+    children = net.children
     indeg = net.indegrees()
+    order = _topo_order(net, indeg)
+    up: list = [None] * net.n
+    for v in reversed(order):
+        kids = children[v]
+        kind = _DEGREE_KIND_ORDER.get((indeg[v], len(kids)))
+        if kind is None:
+            _classify(indeg[v], len(kids))  # raises
+        if not kids:  # a leaf
+            up[v] = (kind, net.leaf_labels[v])
+        elif len(kids) == 2:
+            a, b = up[kids[0]], up[kids[1]]
+            up[v] = (kind, (a, b) if a <= b else (b, a))
+        else:
+            up[v] = (kind, (up[kids[0]],))
+    return order, up
+
+
+def _topo_order(net: Network, indeg: list[int]) -> list[int]:
     remaining = indeg[:]
     order = [net.root]
     i = 0

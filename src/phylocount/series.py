@@ -78,6 +78,17 @@ def sqrt_pow_coeff(d: int, n: int) -> Fraction:
     return Fraction(-2) ** n * rational_binomial(Fraction(d, 2), n)
 
 
+def sqrt_pow_coeffs(d: int, n_max: int) -> list[Fraction]:
+    """Exact coefficients of z^0..z^n_max in (1 - 2z)^(d/2), by the ratio
+    recurrence c_0 = 1, c_n = c_(n-1) (2(n-1) - d) / n."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    coeffs = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        coeffs.append(coeffs[-1] * (2 * (n - 1) - d) / n)
+    return coeffs
+
+
 def sqrt_pow_coeff_formula(d: int, n: int) -> Fraction:
     """Coefficient of z^n in (1 - 2z)^(d/2) by the four-case double-factorial formula.
 
@@ -113,9 +124,8 @@ def sqrt_pow_coeff_formula(d: int, n: int) -> Fraction:
 def formula_threshold(d: int, n_max: int = 60) -> int:
     """Smallest n0 such that the four-case formula agrees with the exact
     coefficient of z^n in (1-2z)^(d/2) for every n in [n0, n_max]."""
-    mismatches = [
-        n for n in range(n_max + 1) if sqrt_pow_coeff_formula(d, n) != sqrt_pow_coeff(d, n)
-    ]
+    exact = sqrt_pow_coeffs(d, n_max)
+    mismatches = [n for n in range(n_max + 1) if sqrt_pow_coeff_formula(d, n) != exact[n]]
     if not mismatches:
         return 0
     n0 = mismatches[-1] + 1
@@ -439,7 +449,10 @@ class SqrtPoly:
         """Truncated expansion as an :class:`Egf` of the given order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return Egf(tuple(self.coeff_z(n) for n in range(order + 1)))
+        columns = [(c, sqrt_pow_coeffs(d, order)) for d, c in self.terms]
+        return Egf(
+            tuple(sum((c * col[n] for c, col in columns), Fraction(0)) for n in range(order + 1))
+        )
 
     def to_json(self) -> str:
         triples = [[d, c.numerator, c.denominator] for d, c in self.terms]

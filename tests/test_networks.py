@@ -23,6 +23,8 @@ from phylocount.networks import (
     validation_errors,
 )
 from phylocount import canon
+from phylocount.networks import _CANON_TAG, _KIND_ORDER
+from phylocount.oracle import enumerate_networks
 
 
 def single_edge_network() -> Network:
@@ -175,3 +177,43 @@ def test_canonical_bytes_distinguishes_multiplicity():
     a = canon.canonical_bytes(2, [(0, 1, 2)], [1, 0])
     b = canon.canonical_bytes(2, [(0, 1, 1)], [1, 0])
     assert a != b
+
+
+def test_out_of_range_indices_reported_not_raised():
+    net = Network(((1,), (5, 2), ()), (0, 0, 1))
+    assert validation_errors(net) == ["vertex 1 has an out-of-range child"]
+    assert not is_valid(net)
+    stray_root = Network(((1,), ()), (0, 1), 5)
+    assert validation_errors(stray_root) == ["declared root 5 is out of range"]
+
+
+def test_validation_result_is_a_fresh_list_each_call():
+    net = Network.build([[1], [2, 2], []], {2: 1})
+    errors = validation_errors(net)
+    errors.append("scribble")
+    assert "scribble" not in validation_errors(net)
+    assert validation_errors(net) == errors[:-1]
+
+
+def _plain_canon_code(net: Network) -> bytes:
+    # the general canonizer alone, with the kind/label colouring
+    kinds = net.kinds()
+    colors = [(_KIND_ORDER[kinds[v]] << 20) | net.leaf_labels[v] for v in range(net.n)]
+    return canon.canonical_bytes(net.n, [(u, w, 1) for u, w in net.edges()], colors)
+
+
+@pytest.mark.parametrize("cell, size, fallbacks", [((2, 2), 18, 1), ((2, 3), 225, 9), ((3, 2), 279, 6)])
+def test_canonical_code_agrees_with_general_canonizer(cell, size, fallbacks):
+    nets = list(enumerate_networks(*cell))
+    assert len(nets) == size
+    rng = random.Random(11)
+    sample = []
+    for net in nets:
+        perm = list(range(net.n))
+        rng.shuffle(perm)
+        sample += [net, net.relabel_vertices(dict(enumerate(perm)))]
+    codes = [canonical_code(net) for net in sample]
+    plain = [_plain_canon_code(net) for net in sample]
+    # equal codes <=> equal general-canonizer codes, over every pair
+    assert len(set(zip(codes, plain))) == len(set(codes)) == len(set(plain)) == size
+    assert sum(code.startswith(_CANON_TAG) for code in codes[::2]) == fallbacks

@@ -33,6 +33,7 @@ from phylocount.oracle import (
     saturated_growth_term_log,
     split_multifurcation,
 )
+from phylocount.verify import _galled_by_max_flow
 
 
 def test_job_budget():
@@ -99,9 +100,11 @@ def test_class_inclusions_pointwise():
 
 
 def test_galled_equals_tree_shaped_compression():
+    # is_galled is the tree-shaped compression test; the reference is the
+    # tree-cycle definition, checked by max flow
     for l, k in ((2, 2), (3, 1), (2, 3)):
         for net in enumerate_networks(l, k):
-            assert is_galled(net) == component_graph(net).stripped_is_tree()
+            assert is_galled(net) == _galled_by_max_flow(net)
 
 
 def test_compressed_indegrees_are_two():

@@ -21,6 +21,7 @@ from phylocount.series import (
     rational_binomial,
     sqrt_pow_coeff,
     sqrt_pow_coeff_formula,
+    sqrt_pow_coeffs,
 )
 
 
@@ -45,6 +46,14 @@ def test_sqrt_coeff_spot_values():
     assert all(sqrt_pow_coeff(-2, n) == 2**n for n in range(10))
     # (1-2z)^(-3/2) = 1 + 3z + ...
     assert sqrt_pow_coeff(-3, 1) == 3
+
+
+def test_sqrt_coeff_recurrence_matches_binomial_route():
+    for d in range(-9, 10):
+        assert sqrt_pow_coeffs(d, 40) == [sqrt_pow_coeff(d, n) for n in range(41)]
+    assert sqrt_pow_coeffs(3, 0) == [1]
+    with pytest.raises(ValueError):
+        sqrt_pow_coeffs(1, -1)
 
 
 def test_formula_case_spot_values():
