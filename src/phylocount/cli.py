@@ -18,6 +18,8 @@ from phylocount import verify as verify_mod
 
 CLASSES = ("pn", "rv", "gn", "tc", "normal", "onecomp", "trees")
 METHODS = ("auto", "series", "closed", "treesum", "dagsum", "brute")
+# the validated range of each class's closed forms, discovered against its series
+THRESHOLDS = {"gn": galled.closed_form_threshold, "rv": retvis.closed_form_threshold}
 
 
 class UsageError(Exception):
@@ -29,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # a ValueError is an argument out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -115,14 +117,9 @@ def _closed_count(cls: str, leaves: int, rets: int):
         return onecomp.tree_count(leaves), "validated"
     if rets == 1 and cls in ("pn", "rv", "gn", "tc"):
         return onecomp.single_reticulation_count(leaves), "validated"
-    if cls == "gn" and rets in (2, 3):
-        value = galled.galled_closed_form(leaves, rets)
-        flag = "validated" if leaves >= galled.closed_form_threshold(rets) else "below-threshold"
-        return value, flag
-    if cls == "rv" and rets in (2, 3):
-        value = retvis.rv_closed_form(leaves, rets)
-        flag = "validated" if leaves >= retvis.closed_form_threshold(rets) else "below-threshold"
-        return value, flag
+    if (cls, rets) in onecomp.CLOSED_FORMS:
+        value = onecomp.closed_form(cls, leaves, rets)
+        return value, "validated" if leaves >= THRESHOLDS[cls](rets) else "below-threshold"
     if cls == "normal" and rets == 2:
         return onecomp.normal_two_reticulation_count(leaves), "validated"
     raise UsageError(f"no closed form for class {cls!r} at rets={rets}")
@@ -226,11 +223,10 @@ def _cmd_count_total(args) -> int:
 
 
 def _brute_count(cls: str, leaves: int, rets: int) -> int:
-    try:
-        counts = oracle.count_by_class(leaves, rets)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return getattr(counts, cls) if cls != "trees" else counts.pn
+    field = "pn" if cls == "trees" else cls
+    if field not in oracle.CLASS_PREDICATES:
+        raise UsageError(f"no exhaustive count for class {cls!r}")
+    return getattr(oracle.count_by_class(leaves, rets), field)
 
 
 def _cmd_table(args) -> int:
@@ -356,22 +352,16 @@ def _asympt_count(cls: str, leaves: int, rets: int) -> int:
         return onecomp.tree_count(leaves)
     if rets == 1:
         return onecomp.single_reticulation_count(leaves)
-    module = galled if cls == "gn" else retvis
-    threshold = module.closed_form_threshold(rets)
+    threshold = THRESHOLDS[cls](rets)
     if leaves < threshold:
         raise UsageError(
             f"the {cls} closed form for rets={rets} is validated for leaves >= {threshold}"
         )
-    if cls == "gn":
-        return galled.galled_closed_form(leaves, rets)
-    return retvis.rv_closed_form(leaves, rets)
+    return onecomp.closed_form(cls, leaves, rets)
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        job = oracle.EnumerationJob(args.leaves, args.rets, args.cls)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    job = oracle.EnumerationJob(args.leaves, args.rets, args.cls)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     predicate = oracle.CLASS_PREDICATES[job.class_filter] if job.class_filter else None
@@ -390,10 +380,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
-    try:
-        catalog = retvis.enumerate_patterns(args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    catalog = retvis.enumerate_patterns(args.m)
     if args.dot:
         args.dot.mkdir(parents=True, exist_ok=True)
         for index, (pattern, symmetry) in enumerate(catalog):

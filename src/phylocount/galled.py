@@ -8,21 +8,19 @@ discovered by comparison against the series, never assumed.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from itertools import product
 
-from phylocount.series import Egf, SqrtPoly, double_factorial
+from phylocount.series import Egf, SqrtPoly, double_factorial, validated_from
 from phylocount.onecomp import (
     block_count,
     block_egf,
     block_shift_egf,
+    closed_form,
     shift_sqrt_form,
 )
-
-_lock = threading.Lock()
-_egf_memo: dict[tuple[int, int], Egf] = {}
 
 
 def _compositions(total: int, parts: int):
@@ -36,30 +34,23 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@functools.cache
 def galled_egf(rets: int, order: int) -> Egf:
     """EGF of galled networks with exactly `rets` reticulations, truncated."""
     if rets < 0 or order < 0:
         raise ValueError("rets and order must be nonnegative")
-    key = (rets, order)
-    with _lock:
-        cached = _egf_memo.get(key)
-    if cached is not None:
-        return cached
     if rets == 0:
-        result = block_egf(0, order)  # trees: 1 - sqrt(1-2z)
-    else:
-        # G_k = sum_j F_j / j! [v^(k-j)] G(v)^j, with G(v)^j built up power
-        # by power and truncated in v to the degree the next terms need
-        lower = [galled_egf(i, order) for i in range(rets)]
-        result = Egf.zero(order)
-        g_pow = [Egf.one(order)]
-        for j in range(1, rets + 1):
-            g_pow = _bivariate_mul(g_pow, lower, rets - j)
-            result = result + (block_shift_egf(j, order) * g_pow[rets - j]).scale(
-                Fraction(1, math.factorial(j))
-            )
-    with _lock:
-        _egf_memo[key] = result
+        return block_egf(0, order)  # trees: 1 - sqrt(1-2z)
+    # G_k = sum_j F_j / j! [v^(k-j)] G(v)^j, with G(v)^j built up power
+    # by power and truncated in v to the degree the next terms need
+    lower = [galled_egf(i, order) for i in range(rets)]
+    result = Egf.zero(order)
+    g_pow = [Egf.one(order)]
+    for j in range(1, rets + 1):
+        g_pow = _bivariate_mul(g_pow, lower, rets - j)
+        result = result + (block_shift_egf(j, order) * g_pow[rets - j]).scale(
+            Fraction(1, math.factorial(j))
+        )
     return result
 
 
@@ -71,60 +62,17 @@ def galled_count(leaves: int, rets: int) -> int:
 
 
 def galled_closed_form(leaves: int, rets: int):
-    """Closed-form count for rets in {2, 3}.
-
-    Returns an exact value (int, or Fraction at boundary points where the
-    expression is not integral).  Use :func:`closed_form_threshold` for the
-    validated range.
-    """
-    l = leaves
-    if l < 1:
-        raise ValueError("leaves must be >= 1")
-    if rets == 2:
-        first = Fraction(6 * l**4 + 31 * l**3 + 30 * l**2 - 7 * l - 9, 3)
-        value = first * double_factorial(2 * l - 3) - Fraction(2) ** (l - 2) * (
-            7 * l + 10
-        ) * math.factorial(l + 1)
-    elif rets == 3:
-        first = Fraction(
-            140 * l**6
-            + 3184 * l**5
-            + 17195 * l**4
-            + 34125 * l**3
-            + 19475 * l**2
-            - 8599 * l
-            - 6090,
-            105,
-        )
-        second = Fraction(2) ** (l - 5) * Fraction(
-            225 * l**3 + 2045 * l**2 + 5878 * l + 5448, 3
-        )
-        value = first * double_factorial(2 * l - 3) - second * math.factorial(l + 1)
-    else:
-        raise ValueError("closed forms exist for rets in {2, 3}")
-    return value.numerator if value.denominator == 1 else value
+    """Closed-form count for rets in {2, 3}, from :data:`onecomp.CLOSED_FORMS`;
+    see :func:`closed_form_threshold` for the validated range."""
+    return closed_form("gn", leaves, rets)
 
 
-_threshold_memo: dict[int, int] = {}
-
-
+@functools.cache
 def closed_form_threshold(rets: int, scan_to: int = 40) -> int:
     """Smallest l0 such that the closed form matches the series for every
-    l in [l0, scan_to].  Discovered, then cached."""
-    with _lock:
-        cached = _threshold_memo.get(rets)
-    if cached is not None:
-        return cached
+    l in [l0, scan_to].  Discovered, then cached per (rets, scan_to)."""
     series = galled_egf(rets, scan_to)
-    mismatches = [
-        l for l in range(1, scan_to + 1) if galled_closed_form(l, rets) != series.count(l)
-    ]
-    if mismatches and mismatches[-1] == scan_to:
-        raise ArithmeticError(f"closed form for rets={rets} still wrong at l={scan_to}")
-    threshold = mismatches[-1] + 1 if mismatches else 1
-    with _lock:
-        _threshold_memo[rets] = threshold
-    return threshold
+    return validated_from(lambda l: galled_closed_form(l, rets) == series.count(l), 1, scan_to)
 
 
 def galled_sqrt_form(rets: int) -> SqrtPoly:

@@ -1,4 +1,5 @@
-"""One-component building-block counts and the baseline closed-form counts.
+"""One-component building-block counts and the closed-form counts: the
+baseline forms and the table of galled and visible forms.
 
 The central quantity is ``block_count(leaves, rets)``: the number of
 one-component galled networks with the given number of leaves and
@@ -173,6 +174,46 @@ def normal_two_reticulation_count(leaves: int) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"normal count is not integral at leaves={l}")
     return value.numerator
+
+
+# Closed forms of the galled (gn) and reticulation-visible (rv) counts for two
+# and three reticulations, all of the shape A(l) (2l-3)!! - 2^(l-s) B(l) (l+f)!.
+# (class, rets) -> (A, B, s, f); A and B are (integer coefficients, constant
+# first, common denominator).  Each form holds only from a threshold
+# that galled/retvis.closed_form_threshold discover against the series.
+CLOSED_FORMS = {
+    ("gn", 2): (((-9, -7, 30, 31, 6), 3), ((10, 7), 1), 2, 1),
+    ("gn", 3): (
+        ((-6090, -8599, 19475, 34125, 17195, 3184, 140), 105),
+        ((5448, 5878, 2045, 225), 3),
+        5,
+        1,
+    ),
+    ("rv", 2): (((-3, -1, 6, 7, 6), 3), ((1, 2, 2), 1), 1, 0),
+    # rv, rets 3: coefficients pinned by the pattern-sum series (exact fit on
+    # 12 samples, verified through l = 40) and by exhaustive counts at
+    # l = 2, 3; the degrees are forced by the singularity structure of the
+    # pattern sum
+    ("rv", 3): (((6, 6, -52, -8, 33, 20, 4), 3), ((-168, -106, 135, 175, 48), 3), 4, 0),
+}
+
+
+def closed_form(cls: str, leaves: int, rets: int):
+    """The closed form of class `cls` ("gn" or "rv") with rets in {2, 3}.
+
+    Returns an exact value: an int, or a Fraction at points off the
+    validated range where the expression is not integral.
+    """
+    if leaves < 1:
+        raise ValueError("leaves must be >= 1")
+    if (cls, rets) not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for class {cls!r} at rets={rets}")
+    (a, a_den), (b, b_den), s, f = CLOSED_FORMS[cls, rets]
+    l = leaves
+    main = Fraction(sum(c * l**i for i, c in enumerate(a)), a_den) * double_factorial(2 * l - 3)
+    tail = Fraction(sum(c * l**i for i, c in enumerate(b)), b_den) * math.factorial(l + f)
+    value = main - Fraction(2) ** (l - s) * tail
+    return value.numerator if value.denominator == 1 else value
 
 
 def baseline_counts(leaves: int) -> dict[str, int]:

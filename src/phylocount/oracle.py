@@ -9,6 +9,7 @@ networks, and the growth-term evaluation built on the first Airy root.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -177,14 +178,9 @@ class ClassCounts:
         return {"pn": self.pn, "rv": self.rv, "gn": self.gn, "tc": self.tc, "normal": self.normal}
 
 
-_count_cache: dict[tuple[int, int], ClassCounts] = {}
-
-
+@functools.cache
 def count_by_class(leaves: int, rets: int) -> ClassCounts:
     """Exhaustive per-class counts for one (leaves, rets) cell; memoized."""
-    key = (leaves, rets)
-    if key in _count_cache:
-        return _count_cache[key]
     pn = rv = gn = tc = normal = 0
     for net in enumerate_networks(leaves, rets):
         pn += 1
@@ -196,9 +192,7 @@ def count_by_class(leaves: int, rets: int) -> ClassCounts:
             tc += 1
             if is_normal(net):
                 normal += 1
-    result = ClassCounts(pn, rv, gn, tc, normal)
-    _count_cache[key] = result
-    return result
+    return ClassCounts(pn, rv, gn, tc, normal)
 
 
 def reticulation_capacity(children: Sequence[Sequence[int]] | Network, root: int = 0) -> int:

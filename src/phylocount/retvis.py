@@ -9,21 +9,19 @@ EGF of the class.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
-from phylocount.series import Egf, SqrtPoly, double_factorial
+from phylocount.series import Egf, SqrtPoly, validated_from
 from phylocount.networks import DagPattern
-from phylocount.onecomp import block_count
+from phylocount.onecomp import block_count, closed_form
 from phylocount.galled import galled_egf
 
 MAX_PATTERN_VERTICES = 8
 
-_lock = threading.Lock()
-_catalog_memo: dict[int, tuple] = {}
 
-
+@functools.cache
 def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
     """All isomorphism classes of m-vertex patterns with their symmetry counts,
     sorted by canonical code.
@@ -34,11 +32,6 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
     """
     if not 1 <= m <= MAX_PATTERN_VERTICES:
         raise ValueError(f"pattern enumeration supports 1 <= m <= {MAX_PATTERN_VERTICES}")
-    with _lock:
-        cached = _catalog_memo.get(m)
-    if cached is not None:
-        return cached
-
     seen: dict[bytes, DagPattern] = {}
 
     def assign(v: int, edges: list[tuple[int, int, int]], keys: list[tuple[int, ...]]):
@@ -65,13 +58,10 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
                     assign(v + 1, edges + [(p1, v, 1), (p2, v, 1)], keys + [key])
 
     assign(1, [], [])
-    catalog = tuple(
+    return tuple(
         (pattern, pattern.automorphism_count())
         for _, pattern in sorted(seen.items())
     )
-    with _lock:
-        _catalog_memo[m] = catalog
-    return catalog
 
 
 def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
@@ -91,83 +81,48 @@ def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
     return Egf.from_counts(counts)
 
 
+def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
+    """One pattern's share of the pattern sum: the product of its vertex
+    series, weighted by 1/symmetry."""
+    term = Egf.one(order)
+    for v in range(pattern.m):
+        term = term * vertex_egf(pattern, v, order)
+    return term.scale(Fraction(1, symmetry))
+
+
 def rv_egf(rets: int, order: int) -> Egf:
     """EGF of reticulation-visible networks with exactly `rets` reticulations."""
     if rets < 0:
         raise ValueError("rets must be nonnegative")
     total = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(rets + 1):
-        term = Egf.one(order)
-        for v in range(pattern.m):
-            term = term * vertex_egf(pattern, v, order)
-        total = total + term.scale(Fraction(1, symmetry))
+        total = total + pattern_term(pattern, symmetry, order)
     return total
 
 
 def rv_count(leaves: int, rets: int) -> int:
     """Exact count by series extraction; the inverse-symmetry weights must
-    resolve to an integer, which is asserted on every call."""
+    resolve to an integer, which :meth:`Egf.count` checks on every call."""
     if leaves < 1:
         raise ValueError("leaves must be >= 1")
-    value = rv_egf(rets, leaves).coeff(leaves) * math.factorial(leaves)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"symmetry-weighted total is not integral at (leaves={leaves}, rets={rets})"
-        )
-    if value.numerator < 0:
+    value = rv_egf(rets, leaves).count(leaves)
+    if value < 0:
         raise ArithmeticError("negative count; pattern catalog is inconsistent")
-    return value.numerator
+    return value
 
 
 def rv_closed_form(leaves: int, rets: int):
-    """Closed-form count for rets in {2, 3}; exact value, integral except at
-    boundary points outside the validated range."""
-    l = leaves
-    if l < 1:
-        raise ValueError("leaves must be >= 1")
-    if rets == 2:
-        first = Fraction(6 * l**4 + 7 * l**3 + 6 * l**2 - l - 3, 3)
-        value = first * double_factorial(2 * l - 3) - Fraction(2) ** (l - 1) * (
-            2 * l**2 + 2 * l + 1
-        ) * math.factorial(l)
-    elif rets == 3:
-        # coefficients pinned by the pattern-sum series (exact fit on 12
-        # samples, verified through l = 40) and by exhaustive counts at
-        # l = 2, 3; the polynomial degrees are forced by the singularity
-        # structure of the pattern sum
-        first = Fraction(
-            4 * l**6 + 20 * l**5 + 33 * l**4 - 8 * l**3 - 52 * l**2 + 6 * l + 6, 3
-        )
-        second = Fraction(2) ** (l - 4) * Fraction(
-            48 * l**4 + 175 * l**3 + 135 * l**2 - 106 * l - 168, 3
-        )
-        value = first * double_factorial(2 * l - 3) - second * math.factorial(l)
-    else:
-        raise ValueError("closed forms exist for rets in {2, 3}")
-    return value.numerator if value.denominator == 1 else value
+    """Closed-form count for rets in {2, 3}, from :data:`onecomp.CLOSED_FORMS`;
+    see :func:`closed_form_threshold` for the validated range."""
+    return closed_form("rv", leaves, rets)
 
 
-_threshold_memo: dict[int, int] = {}
-
-
+@functools.cache
 def closed_form_threshold(rets: int, scan_to: int = 40) -> int:
-    """Validated range start for the closed form, discovered against the series."""
-    with _lock:
-        cached = _threshold_memo.get(rets)
-    if cached is not None:
-        return cached
+    """Validated range start for the closed form, discovered against the
+    series and cached per (rets, scan_to)."""
     series = rv_egf(rets, scan_to)
-    mismatches = [
-        l
-        for l in range(1, scan_to + 1)
-        if rv_closed_form(l, rets) != series.coeff(l) * math.factorial(l)
-    ]
-    if mismatches and mismatches[-1] == scan_to:
-        raise ArithmeticError(f"closed form for rets={rets} still wrong at l={scan_to}")
-    threshold = mismatches[-1] + 1 if mismatches else 1
-    with _lock:
-        _threshold_memo[rets] = threshold
-    return threshold
+    return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, scan_to)
 
 
 def vanishing_certificate(rets: int, leaves: int) -> bool:
@@ -254,10 +209,7 @@ def three_ret_split_check(order: int = 24):
     tree_sum = Egf.zero(order)
     non_tree_sum = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(4):
-        term = Egf.one(order)
-        for v in range(pattern.m):
-            term = term * vertex_egf(pattern, v, order)
-        term = term.scale(Fraction(1, symmetry))
+        term = pattern_term(pattern, symmetry, order)
         if pattern_is_treelike(pattern):
             tree_sum = tree_sum + term
         else:
@@ -402,17 +354,11 @@ def galled_series_reference(leaves: int, rets: int) -> int:
     cross-check that tree-like patterns reproduce the galled class."""
     total = Egf.zero(leaves)
     for pattern, symmetry in enumerate_patterns(rets + 1):
-        if not pattern_is_treelike(pattern):
-            continue
-        term = Egf.one(leaves)
-        for v in range(pattern.m):
-            term = term * vertex_egf(pattern, v, leaves)
-        total = total + term.scale(Fraction(1, symmetry))
-    value = total.coeff(leaves) * math.factorial(leaves)
-    if value.denominator != 1:
-        raise ArithmeticError("non-integral tree-pattern total")
-    if value.numerator != galled_egf(rets, leaves).count(leaves):
+        if pattern_is_treelike(pattern):
+            total = total + pattern_term(pattern, symmetry, leaves)
+    value = total.count(leaves)
+    if value != galled_egf(rets, leaves).count(leaves):
         raise ArithmeticError(
             f"tree-pattern total disagrees with the galled series at (leaves={leaves}, rets={rets})"
         )
-    return value.numerator
+    return value

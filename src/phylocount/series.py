@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def double_factorial(n: int) -> int:
@@ -121,17 +121,27 @@ def sqrt_pow_coeff_formula(d: int, n: int) -> Fraction:
     )
 
 
+def validated_from(agrees: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest n0 >= lo such that agrees(n) holds for every n in [n0, hi].
+
+    Scans down from hi and stops at the first disagreement; raises
+    ArithmeticError when agrees(hi) itself fails.
+    """
+    if hi < lo:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    n = hi
+    while n >= lo and agrees(n):
+        n -= 1
+    if n == hi:
+        raise ArithmeticError(f"still no agreement at n={hi}")
+    return n + 1
+
+
 def formula_threshold(d: int, n_max: int = 60) -> int:
     """Smallest n0 such that the four-case formula agrees with the exact
     coefficient of z^n in (1-2z)^(d/2) for every n in [n0, n_max]."""
     exact = sqrt_pow_coeffs(d, n_max)
-    mismatches = [n for n in range(n_max + 1) if sqrt_pow_coeff_formula(d, n) != exact[n]]
-    if not mismatches:
-        return 0
-    n0 = mismatches[-1] + 1
-    if n0 > n_max:
-        raise ArithmeticError(f"formula for d={d} still disagrees at n={n_max}")
-    return n0
+    return validated_from(lambda n: sqrt_pow_coeff_formula(d, n) == exact[n], 0, n_max)
 
 
 def formula_threshold_table(d_min: int = -9, d_max: int = 9, n_max: int = 60) -> dict[int, int]:

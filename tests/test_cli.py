@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from phylocount.cli import main
+from phylocount.cli import CLASSES, METHODS, main
 from phylocount import io
 from phylocount.networks import Network
 
@@ -113,6 +116,12 @@ def test_asympt_output(capsys):
         "asympt --class gn --rets -1 --leaves 5",
         "asympt --class gn --rets 3 --leaves 1",
         "count --class gn --leaves 5 --rets 2 --trunc-order -3",
+        "count --class rv --leaves 5 --rets 8 --method dagsum",
+        "count --class rv --leaves 5 --rets 8 --method series",
+        "count --class rv --leaves 4 --method treesum",
+        "count --class gn --leaves 9 --method treesum",
+        "count --class gn --leaves 9 --rets 2 --method treesum",
+        "count --class onecomp --leaves 2 --rets 1 --method brute",
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
@@ -175,3 +184,44 @@ def test_component_graph_serialization():
 def test_json_round_trip_via_io():
     net = Network.build([[1], [2, 3], [3, 4], [5], [], []], {4: 2, 5: 1})
     assert io.network_from_json(io.network_to_json(net)) == net
+
+
+def _call(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+BRUTE_VERTICES = 10  # cells the exhaustive oracle settles in well under a second
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cls=st.sampled_from(CLASSES),
+    method=st.sampled_from(METHODS),
+    leaves=st.integers(1, 4),
+    rets=st.none() | st.integers(0, 3),
+)
+def test_count_exits_cleanly_and_methods_agree(cls, method, leaves, rets):
+    # auto falls back to the oracle for the classes without a series
+    brute = method == "brute" or (method == "auto" and cls in ("pn", "tc", "normal"))
+    assume(not brute or 2 * (leaves + (rets or 0)) <= BRUTE_VERTICES)
+    # the three-leaf rv component sum alone takes about a second
+    assume(not (cls == "rv" and method == "treesum" and rets is None and leaves == 3))
+    argv = ["count", "--class", cls, "--leaves", str(leaves), "--method", method]
+    if rets is not None:
+        argv += ["--rets", str(rets)]
+    code, _, err = _call(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if cls not in ("gn", "rv") or rets is None or code != 0:
+        return
+    values = {}
+    for other in ("closed", "series", "dagsum", "brute"):
+        if other == "brute" and 2 * (leaves + rets) > BRUTE_VERTICES:
+            continue
+        code, out, _ = _call(argv[:5] + ["--method", other, "--rets", str(rets)])
+        if code == 0 and json.loads(out)["validity"] != "below-threshold":
+            values[other] = json.loads(out)["value"]
+    assert len(set(values.values())) == 1, values

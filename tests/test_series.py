@@ -22,6 +22,7 @@ from phylocount.series import (
     sqrt_pow_coeff,
     sqrt_pow_coeff_formula,
     sqrt_pow_coeffs,
+    validated_from,
 )
 
 
@@ -250,3 +251,11 @@ def test_json_round_trips():
 def test_formula_threshold_detects_polynomial_cutoffs():
     assert formula_threshold(6) == 4  # (1-2z)^3 has degree 3
     assert formula_threshold(1) == 0
+
+
+def test_validated_from_finds_the_last_mismatch():
+    assert validated_from(lambda n: True, 3, 20) == 3
+    assert validated_from(lambda n: n not in (5, 9), 0, 20) == 10
+    assert validated_from(lambda n: n != 2, 2, 20) == 3
+    with pytest.raises(ArithmeticError):
+        validated_from(lambda n: n < 20, 0, 20)
