@@ -8,7 +8,6 @@ most a couple of dozen vertices; no attempt is made at asymptotic cleverness.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]  # (src, dst, multiplicity)
@@ -108,17 +107,61 @@ def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int] | None 
 
 def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
     """Order of the automorphism group fixing `root`, preserving directions
-    and edge multiplicities.  Exhaustive search; intended for n <= ~9."""
-    if n > 9:
-        raise ValueError("exhaustive automorphism search is capped at 9 vertices")
-    edge_map: dict[tuple[int, int], int] = {}
+    and edge multiplicities.
+
+    Colour refinement with the root individualised splits the vertices into
+    cells that every such automorphism preserves.  A backtracking search then
+    maps the vertices one by one, each into its own cell, and keeps a partial
+    map only while the edge multiplicities agree, in both directions, with
+    every vertex mapped so far."""
+    mult: dict[tuple[int, int], int] = {}
     for u, w, m in edges:
-        edge_map[(u, w)] = edge_map.get((u, w), 0) + m
-    others = [v for v in range(n) if v != root]
-    count = 0
-    for perm in permutations(others):
-        mapping = {root: root}
-        mapping.update(zip(others, perm))
-        if all(edge_map.get((mapping[u], mapping[w]), 0) == m for (u, w), m in edge_map.items()):
-            count += 1
-    return count
+        mult[(u, w)] = mult.get((u, w), 0) + m
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    for (u, w), m in mult.items():
+        out_adj[u].append((w, m))
+        in_adj[w].append((u, m))
+    colors = _refine(n, [int(v == root) for v in range(n)], out_adj, in_adj)
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    # map vertices in breadth-first order from the root, so that each one
+    # meets already mapped neighbours and a wrong choice fails early
+    order = [root]
+    placed = {root}
+    for v in order:
+        for w, _ in out_adj[v] + in_adj[v]:
+            if w not in placed:
+                placed.add(w)
+                order.append(w)
+    order += [v for v in range(n) if v not in placed]
+    image = [-1] * n
+    used = [False] * n
+
+    def fits(v: int, w: int, depth: int) -> bool:
+        if mult.get((v, v), 0) != mult.get((w, w), 0):
+            return False
+        for u in order[:depth]:
+            x = image[u]
+            if mult.get((u, v), 0) != mult.get((x, w), 0):
+                return False
+            if mult.get((v, u), 0) != mult.get((w, x), 0):
+                return False
+        return True
+
+    def extend(depth: int) -> int:
+        if depth == n:
+            return 1
+        v = order[depth]
+        found = 0
+        for w in cells[colors[v]]:
+            if not used[w] and fits(v, w, depth):
+                image[v] = w
+                used[w] = True
+                found += extend(depth + 1)
+                used[w] = False
+        image[v] = -1
+        return found
+
+    return extend(0)

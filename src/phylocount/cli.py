@@ -97,11 +97,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_rv_series(rets: int) -> None:
+    """The rv series is offered as far as the pattern catalog that checks it
+    reaches: rets <= MAX_PATTERN_VERTICES - 1."""
+    if rets + 1 > retvis.MAX_PATTERN_VERTICES:
+        raise UsageError(f"rv series supports rets <= {retvis.MAX_PATTERN_VERTICES - 1}")
+
+
 def _series_count(cls: str, leaves: int, rets: int, order: int | None) -> int:
     order = max(order or 0, leaves)
     if cls == "gn":
         return galled.galled_egf(rets, order).count(leaves)
     if cls == "rv":
+        _require_rv_series(rets)
         return retvis.rv_egf(rets, order).count(leaves)
     raise UsageError(f"no series method for class {cls!r}")
 
@@ -169,8 +177,6 @@ def _cmd_count(args) -> int:
             if cls == "gn":
                 value, method, validity = _series_count(cls, leaves, rets, args.trunc_order), "series", "validated"
             elif cls == "rv":
-                if rets + 1 > retvis.MAX_PATTERN_VERTICES:
-                    raise UsageError(f"rv series supports rets <= {retvis.MAX_PATTERN_VERTICES - 1}")
                 value, method, validity = _series_count(cls, leaves, rets, args.trunc_order), "dagsum", "validated"
             else:
                 value, method, validity = _brute_count(cls, leaves, rets), "brute", "validated"
@@ -251,11 +257,8 @@ def _cmd_table(args) -> int:
             elif cls == "gn":
                 row.append(galled.galled_egf(k, max(lmax, l)).count(l))
             elif cls == "rv":
-                if k + 1 > retvis.MAX_PATTERN_VERTICES:
-                    raise UsageError(
-                        f"rv tables support kmax <= {retvis.MAX_PATTERN_VERTICES - 1}"
-                    )
                 if k not in rv_columns:
+                    _require_rv_series(k)
                     rv_columns[k] = retvis.rv_egf(k, lmax)
                 row.append(rv_columns[k].count(l))
             elif k == 0:

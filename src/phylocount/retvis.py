@@ -4,7 +4,8 @@ For k reticulations the compressed form of a reticulation-visible network is
 a rooted multigraph DAG on k+1 vertices whose non-root vertices have weighted
 indegree 2 (a double edge counts twice).  Summing a per-vertex block series
 over the catalog of such patterns, weighted by inverse symmetry, yields the
-EGF of the class.
+EGF of the class (:func:`pattern_sum_egf`).  :func:`rv_egf` gets the same
+series without the catalog, from a recurrence over vertex-labelled patterns.
 """
 
 from __future__ import annotations
@@ -64,21 +65,23 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
     )
 
 
-def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
-    """Block series attached to a pattern vertex.
-
-    With c distinct children of which c1 join by double edges, the vertex
-    carries sum_{l >= l0} block_count(l + c, c1) z^l / l!, where l0 is 0 when
-    c1 > 0 and 1 otherwise (a component with no owned reticulations must keep
-    at least one labeled leaf).
-    """
-    c = pattern.out_count(vertex)
-    c1 = pattern.double_count(vertex)
+@functools.cache
+def profile_egf(c: int, c1: int, order: int) -> Egf:
+    """Block series of a pattern vertex with c distinct children, c1 of which
+    join by double edges: sum_{l >= l0} block_count(l + c, c1) z^l / l!, where
+    l0 is 0 when c1 > 0 and 1 otherwise (a component with no owned
+    reticulations must keep at least one labeled leaf)."""
     l0 = 0 if c1 > 0 else 1
     counts = [0] * (order + 1)
     for l in range(l0, order + 1):
         counts[l] = block_count(l + c, c1)
     return Egf.from_counts(counts)
+
+
+def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
+    """Block series attached to a pattern vertex: the :func:`profile_egf` of
+    its (distinct children, double-edge children)."""
+    return profile_egf(pattern.out_count(vertex), pattern.double_count(vertex), order)
 
 
 def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
@@ -90,8 +93,12 @@ def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
     return term.scale(Fraction(1, symmetry))
 
 
-def rv_egf(rets: int, order: int) -> Egf:
-    """EGF of reticulation-visible networks with exactly `rets` reticulations."""
+def pattern_sum_egf(rets: int, order: int) -> Egf:
+    """The paper's pattern sum over the catalog of (rets+1)-vertex patterns.
+
+    The reference route for :func:`rv_egf`: it goes through the canonizer,
+    the catalog and the automorphism counts, none of which the recurrence
+    uses."""
     if rets < 0:
         raise ValueError("rets must be nonnegative")
     total = Egf.zero(order)
@@ -100,14 +107,64 @@ def rv_egf(rets: int, order: int) -> Egf:
     return total
 
 
+def rv_egf(rets: int, order: int) -> Egf:
+    """EGF of reticulation-visible networks with exactly `rets` reticulations.
+
+    A pattern class with symmetry s has (m-1)!/s vertex labellings that fix
+    the root, so the pattern sum equals the sum over labelled patterns on
+    m = rets+1 vertices, divided by (m-1)!.  The labelled patterns are counted
+    without generating any, layer by layer as in Robinson's count of labelled
+    acyclic digraphs: the root is the first layer, and a vertex joins the
+    layer after the one that gives it its last parent edge.  Vertices with
+    the same role are interchangeable, so a state is four sizes: n0 sources
+    of the current layer still to process, nz vertices already complete for
+    the next layer, and n1 and n2 vertices that still need one and two
+    parent edges.  A source takes b double children and a2 single children
+    among the n2, and a1 single children among the n1, in
+    C(n2, b) C(n2-b, a2) C(n1, a1) ways, and carries the block series of
+    profile (b + a2 + a1, b).  Transitions are grouped by profile, so each
+    state does one product per distinct profile.
+    """
+    if rets < 0:
+        raise ValueError("rets must be nonnegative")
+    zero = Egf.zero(order)
+    one = Egf.one(order)
+
+    @functools.cache
+    def weight(n0: int, nz: int, n1: int, n2: int) -> Egf:
+        if n0 == 0:
+            if nz:
+                return weight(nz, 0, n1, n2)
+            return zero if n1 or n2 else one
+        by_profile: dict[tuple[int, int], Egf] = {}
+        for b in range(n2 + 1):
+            for a2 in range(n2 - b + 1):
+                ways2 = math.comb(n2, b) * math.comb(n2 - b, a2)
+                for a1 in range(n1 + 1):
+                    rest = weight(n0 - 1, nz + b + a1, n1 - a1 + a2, n2 - b - a2)
+                    if rest.is_zero():
+                        continue
+                    key = (b + a2 + a1, b)
+                    term = rest.scale(ways2 * math.comb(n1, a1))
+                    by_profile[key] = by_profile[key] + term if key in by_profile else term
+        total = zero
+        for (c, c1), paths in by_profile.items():
+            total = total + profile_egf(c, c1, order) * paths
+        return total
+
+    m = rets + 1
+    return weight(1, 0, 0, m - 1).scale(Fraction(1, math.factorial(m - 1)))
+
+
 def rv_count(leaves: int, rets: int) -> int:
-    """Exact count by series extraction; the inverse-symmetry weights must
-    resolve to an integer, which :meth:`Egf.count` checks on every call."""
+    """Exact count by series extraction; the 1/rets! weight of the labelled
+    pattern sum must resolve to an integer, which :meth:`Egf.count` checks on
+    every call."""
     if leaves < 1:
         raise ValueError("leaves must be >= 1")
     value = rv_egf(rets, leaves).count(leaves)
     if value < 0:
-        raise ArithmeticError("negative count; pattern catalog is inconsistent")
+        raise ArithmeticError("negative count; pattern sum is inconsistent")
     return value
 
 
@@ -120,8 +177,8 @@ def rv_closed_form(leaves: int, rets: int):
 @functools.cache
 def closed_form_threshold(rets: int, scan_to: int = 40) -> int:
     """Validated range start for the closed form, discovered against the
-    series and cached per (rets, scan_to)."""
-    series = rv_egf(rets, scan_to)
+    catalog's pattern sum and cached per (rets, scan_to)."""
+    series = pattern_sum_egf(rets, scan_to)
     return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, scan_to)
 
 

@@ -225,3 +225,15 @@ def test_count_exits_cleanly_and_methods_agree(cls, method, leaves, rets):
         if code == 0 and json.loads(out)["validity"] != "below-threshold":
             values[other] = json.loads(out)["value"]
     assert len(set(values.values())) == 1, values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --class rv --leaves 5 --rets 8",
+        "table --class rv --lmax 4 --kmax 8",
+    ],
+)
+def test_rv_series_limit_holds_on_every_path(capsys, argv):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: rv series supports rets <= 7\n"

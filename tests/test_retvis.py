@@ -5,16 +5,20 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from phylocount import canon
 from phylocount.galled import galled_count, galled_egf
 from phylocount.networks import DagPattern
+from phylocount.oracle import count_by_class
 from phylocount.retvis import (
     closed_form_threshold,
     enumerate_patterns,
     galled_series_reference,
     pattern_is_treelike,
+    pattern_sum_egf,
     rv_closed_form,
     rv_component_sum,
     rv_count,
@@ -143,10 +147,56 @@ def test_vanishing_certificate():
     assert not vanishing_certificate(2, 2)
 
 
-@pytest.mark.slow
 def test_zero_at_seven_reticulations_directly():
     assert rv_count(1, 7) == 0
     assert rv_count(2, 7) == 0
+
+
+def test_recurrence_equals_pattern_sum():
+    # the labelled-pattern recurrence against the catalog route, m <= 7
+    for k in range(0, 7):
+        assert rv_egf(k, 12).coeffs == pattern_sum_egf(k, 12).coeffs, k
+
+
+def permutation_scan_automorphisms(n, edges, root):
+    """Reference: every permutation fixing the root, checked edge by edge."""
+    mult = {}
+    for u, w, m in edges:
+        mult[(u, w)] = mult.get((u, w), 0) + m
+    others = [v for v in range(n) if v != root]
+    count = 0
+    for perm in permutations(others):
+        image = {root: root, **dict(zip(others, perm))}
+        if all(mult.get((image[u], image[w]), 0) == m for (u, w), m in mult.items()):
+            count += 1
+    return count
+
+
+def test_automorphism_count_matches_permutation_scan():
+    rng = random.Random(5)
+    for m in range(1, 7):
+        for pattern, symmetry in enumerate_patterns(m):
+            assert symmetry == permutation_scan_automorphisms(m, pattern.edges, 0)
+            # a copy with every vertex relabelled, the root included
+            perm = list(range(m))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[w], mult) for u, w, mult in pattern.edges]
+            rng.shuffle(edges)
+            assert canon.automorphism_count(m, edges, perm[0]) == symmetry
+
+
+def test_saturated_counts_through_the_series():
+    # appendix: rv(l, 3l-3) equals the tree-child count at (l, l-1), and no
+    # visible network has more reticulations
+    assert rv_count(3, 6) == count_by_class(3, 2).tc == 42
+    assert rv_count(3, 7) == 0
+    assert rv_count(4, 9) == 2544  # oracle tc(4, 3), checked live under -m slow
+    assert rv_count(4, 10) == 0
+
+
+@pytest.mark.slow
+def test_saturated_count_at_four_leaves_against_the_oracle():
+    assert rv_count(4, 9) == count_by_class(4, 3).tc
 
 
 def test_closed_forms_and_thresholds():
