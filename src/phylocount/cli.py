@@ -3,7 +3,7 @@
 Subcommands: count, table, blocks, verify, asympt, enumerate, patterns.
 All exact values are printed as full decimal integers; floating-point output
 carries explicit precision annotations.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:  # a ValueError is an argument out of range
+    # a ValueError is an argument out of range, an OSError an unwritable output path
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -293,7 +293,6 @@ class ComponentGraph:
     edges: tuple[tuple[int, int, bool], ...]
     attached: tuple[tuple[int, ...], ...]
     terminal_labels: tuple[int, ...]  # 0 where absent
-    members: tuple[tuple[int, ...], ...]
 
     def weighted_indegrees(self) -> list[int]:
         indeg = [0] * self.n
@@ -356,9 +355,6 @@ def component_graph(net: Network) -> ComponentGraph:
     for v in range(n):
         if net.leaf_labels[v]:
             attached[index[comp_root[v]]].append(net.leaf_labels[v])
-    members: list[list[int]] = [[] for _ in reps]
-    for v in range(n):
-        members[index[comp_root[v]]].append(v)
     has_out = [False] * len(reps)
     for src, _, _ in edges:
         has_out[src] = True
@@ -374,7 +370,6 @@ def component_graph(net: Network) -> ComponentGraph:
         edges=tuple(sorted(edges)),
         attached=tuple(tuple(sorted(a)) for a in attached),
         terminal_labels=tuple(terminal),
-        members=tuple(tuple(sorted(m)) for m in members),
     )
 
 

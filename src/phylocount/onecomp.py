@@ -134,17 +134,10 @@ def block_egf(rets: int, order: int) -> Egf:
 
 
 def block_shift_egf(rets: int, order: int) -> Egf:
-    """Series sum_l block_count(l + rets, rets) z^l / l!.
-
-    This is the rets-fold derivative of :func:`block_egf`; the identity is
-    asserted on every construction.
-    """
-    shifted = Egf.from_counts([block_count(l + rets, rets) for l in range(order + 1)])
-    if rets:
-        derived = block_egf(rets, order + rets).diff(rets)
-        if derived != shifted:
-            raise ArithmeticError(f"shift/derivative identity fails for rets={rets}")
-    return shifted
+    """Series sum_l block_count(l + rets, rets) z^l / l!, the rets-fold
+    derivative of :func:`block_egf` (`verify` checks the identity term by
+    term)."""
+    return Egf.from_counts([block_count(l + rets, rets) for l in range(order + 1)])
 
 
 def tree_count(leaves: int) -> int:

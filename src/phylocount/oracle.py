@@ -359,12 +359,10 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     terminal_leaves = [
         v for v in range(tc.n) if tc.leaf_labels[v] and indeg[find_parent(tc, v)] != 2
     ]
-    members: dict[int, list[int]] = {}
-    for v in internal + [top]:
-        members.setdefault(find(v), []).append(v)
+    components = {find(v) for v in internal + [top]}
     comp_ids = {}
     ordered = [find(top)] + sorted(
-        c for c in members if c != find(top)
+        c for c in components if c != find(top)
     ) + sorted(terminal_leaves)
     for i, c in enumerate(ordered):
         comp_ids[c] = i
@@ -389,14 +387,12 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
             if indeg[parent] != 2 or parent == tc.root:
                 if parent != tc.root:
                     edges.append((comp_ids[find(parent)], comp_ids[find(w)], True))
-    members_out = [tuple(sorted(members.get(c, [c]))) for c in ordered]
     return ComponentGraph(
         n=n,
         root=0,
         edges=tuple(sorted(edges)),
         attached=tuple(tuple(sorted(a)) for a in attached),
         terminal_labels=tuple(terminal),
-        members=tuple(members_out),
     )
 
 

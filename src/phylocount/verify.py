@@ -1,18 +1,32 @@
-"""Verification suites behind the `verify` command.
+"""Verification checks behind the `verify` command and the acceptance suite.
 
-Each suite returns a list of (name, ok, detail) checks mirroring the library
-invariants; `run_suite("all")` chains every suite.  The oracle suite runs the
-full exhaustive cross-check matrix and takes a couple of minutes.
+`CHECKS` is the one registry of (suite, name, fn) entries; each fn takes no
+arguments and returns ok or (ok, detail).  `run_suite` runs the entries of
+one suite, or of all of them, in registry order; a check that raises fails
+with the exception as its detail, and the others still run.
+tests/test_acceptance.py maps the acceptance criteria onto these entries.
+The oracle suite runs the exhaustive cross-check matrix (about a minute).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from phylocount import galled, networks, onecomp, oracle, retvis, series
+from phylocount.series import SqrtPoly
+
+SUITES = ("genfun", "onecomp", "galled", "retvis", "oracle", "appendix")
+# validated threshold of the gn and rv closed forms, per reticulation count
+CLOSED_FORM_THRESHOLDS = {2: 1, 3: 2}
+# pattern catalog per vertex count: size and sorted symmetry factors
+CATALOGS = {3: (3, [1, 1, 2]), 4: (13, [1] * 9 + [2, 2, 2, 6])}
+MATRIX_CELLS = [(l, k) for l in (1, 2, 3) for k in range(0, 4)] + [(2, 4), (2, 5)]
+SPOT_VALUES = {(2, 2): {"gn": 3, "rv": 5}, (3, 1): dict.fromkeys(("pn", "rv", "gn", "tc"), 21)}
 
 
 @dataclass(frozen=True)
@@ -23,147 +37,159 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list, suite: str, name: str, ok: bool, detail: str = ""):
-    results.append(CheckResult(suite, name, bool(ok), detail))
+def run_check(suite: str, name: str, fn: Callable[[], object]) -> CheckResult:
+    try:
+        outcome = fn()
+    except Exception as exc:  # one failing check must not stop the others
+        return CheckResult(suite, name, False, f"{type(exc).__name__}: {exc}")
+    ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
+    return CheckResult(suite, name, bool(ok), str(detail))
 
 
-def genfun_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    table = series.formula_threshold_table(-9, 9, 60)
+def run_suite(name: str) -> list[CheckResult]:
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return [run_check(*entry) for entry in CHECKS if name in ("all", entry[0])]
+
+
+@functools.cache
+def _formula_thresholds() -> dict[int, int]:
+    return series.formula_threshold_table(-9, 9, 60)
+
+
+def _formula_threshold_bound():
+    table = _formula_thresholds()
     rows = ", ".join(f"{d}:{n0}" for d, n0 in sorted(table.items()))
-    bound_ok = all(n0 <= max(0, math.ceil(d / 2)) + 1 for d, n0 in table.items())
-    _check(out, "genfun", "coefficient formula thresholds", bound_ok, rows)
-    agree = all(
+    return all(n0 <= max(0, math.ceil(d / 2)) + 1 for d, n0 in table.items()), rows
+
+
+def _formula_matches_extraction():
+    return all(
         series.sqrt_pow_coeff_formula(d, n) == series.sqrt_pow_coeff(d, n)
-        for d, n0 in table.items()
+        for d, n0 in _formula_thresholds().items()
         for n in range(n0, 61)
     )
-    _check(out, "genfun", "formula matches exact extraction beyond thresholds", agree)
+
+
+def _algebra_laws():
     rng = random.Random(421)
-    props_ok = True
     for _ in range(25):
         a = _random_sqrt_poly(rng)
         b = _random_sqrt_poly(rng)
         c = _random_sqrt_poly(rng)
         if a * b != b * a or (a * b) * c != a * (b * c) or a * (b + c) != a * b + a * c:
-            props_ok = False
-            break
+            return False
         if a.diff_z().egf(7) != a.egf(8).diff(1):
-            props_ok = False
-            break
-    _check(out, "genfun", "algebra laws and derivative consistency", props_ok)
-    poly = [Fraction(3), Fraction(-1), Fraction(7), Fraction(-4)]
-    image = series.SqrtPoly.from_z_poly(poly)
-    round_trip = [image.coeff_z(n) for n in range(4)] == poly and image.coeff_z(4) == 0
-    _check(out, "genfun", "z-polynomial round trip", round_trip)
-    return out
+            return False
+    return True
 
 
-def _random_sqrt_poly(rng: random.Random) -> series.SqrtPoly:
+def _random_sqrt_poly(rng: random.Random) -> SqrtPoly:
     terms = {}
     for _ in range(rng.randint(1, 4)):
         terms[rng.randint(-6, 6)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return series.SqrtPoly.of(terms)
+    return SqrtPoly.of(terms)
 
 
-def onecomp_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    _check(
-        out,
-        "onecomp",
-        "smallest nontrivial block count",
-        onecomp.block_count(2, 1) == 1,
+def _z_poly_round_trip():
+    poly = [Fraction(3), Fraction(-1), Fraction(7), Fraction(-4)]
+    image = SqrtPoly.from_z_poly(poly)
+    return [image.coeff_z(n) for n in range(4)] == poly and image.coeff_z(4) == 0
+
+
+
+def _block_closed_forms():
+    return all(
+        onecomp.block_count(l, 1) == onecomp.block_closed_one(l)
+        and onecomp.block_count(l, 2) == onecomp.block_closed_two(l)
+        for l in range(1, 51)
     )
-    ok1 = all(onecomp.block_count(l, 1) == onecomp.block_closed_one(l) for l in range(1, 51))
-    ok2 = all(onecomp.block_count(l, 2) == onecomp.block_closed_two(l) for l in range(1, 51))
-    _check(out, "onecomp", "recurrence equals closed forms (rets 1, 2; l <= 50)", ok1 and ok2)
-    nonneg = all(
-        onecomp.block_count(l, k) >= 0 for l in range(1, 61) for k in range(0, l + 1)
-    )
-    _check(out, "onecomp", "block counts nonnegative and integral (l <= 60)", nonneg)
-    poly_ok = True
+
+
+def _blocks_nonnegative():
+    return all(onecomp.block_count(l, k) >= 0 for l in range(1, 61) for k in range(0, l + 1))
+
+
+def _block_polynomials():
     for k in range(1, 7):
         coeffs = onecomp.block_polynomial(k)
         if len(coeffs) - 1 != 2 * k or coeffs[-1] != 2**k:
-            poly_ok = False
-    _check(out, "onecomp", "block polynomial degree 2k, leading coefficient 2^k (k <= 6)", poly_ok)
-    shift_ok = all(
-        onecomp.block_shift_egf(k, 16) == onecomp.block_egf(k, 16 + k).diff(k)
-        for k in range(0, 7)
-    )
-    _check(out, "onecomp", "shifted series equals k-fold derivative (k <= 6)", shift_ok)
-    return out
+            return False
+    return True
 
 
-def galled_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    support_ok = True
+def _shift_is_derivative():
+    # differentiate coefficient by coefficient, c'_n = (n + 1) c_(n+1), a
+    # route that shares no code with Egf.diff
+    for k in range(0, 7):
+        coeffs = list(onecomp.block_egf(k, 16 + k).coeffs)
+        for _ in range(k):
+            coeffs = [(n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1)]
+        if list(onecomp.block_shift_egf(k, 16).coeffs) != coeffs:
+            return False
+    return True
+
+
+def _galled_support():
     for k in range(0, 7):
         egf = galled.galled_egf(k, 40)
         for l in range(0, 41):
             count = egf.count(l)  # raises if not integral
             if count < 0 or (count == 0) != (k > max(2 * l - 2, 0) or l < 1):
-                support_ok = False
-    _check(out, "galled", "series counts integral, zero exactly beyond 2l-2 (l <= 40)", support_ok)
-    thresholds = {k: galled.closed_form_threshold(k) for k in (2, 3)}
-    closed_ok = thresholds == {2: 1, 3: 2}
-    series40 = {k: galled.galled_egf(k, 40) for k in (2, 3)}
+                return False
+    return True
+
+
+def _closed_forms_match(threshold, closed_form, egf, zeros):
+    """The closed forms for rets 2, 3 equal the series counts from their
+    validated thresholds through l = 40, and vanish at the cells `zeros`."""
+    thresholds = {k: threshold(k) for k in (2, 3)}
+    ok = thresholds == CLOSED_FORM_THRESHOLDS and all(closed_form(l, k) == 0 for l, k in zeros)
     for k in (2, 3):
-        for l in range(thresholds[k], 41):
-            if galled.galled_closed_form(l, k) != series40[k].count(l):
-                closed_ok = False
-    _check(
-        out,
-        "galled",
-        "closed forms match series from their thresholds through l = 40",
-        closed_ok,
-        f"thresholds {thresholds}",
-    )
-    sqrt_ok = all(galled.galled_sqrt_form(k).egf(24) == galled.galled_egf(k, 24) for k in (1, 2))
-    _check(out, "galled", "closed Laurent forms match series", sqrt_ok)
-    identity_ok, bad = galled.generating_identity_check(4, 12)
-    _check(out, "galled", "bivariate fixed-point identity (K=4, T=12)", identity_ok, str(bad))
-    tree_ok = True
+        counts = egf(k, 40).counts()  # raises if a count is not integral
+        ok = ok and all(closed_form(l, k) == counts[l] for l in range(thresholds[k], 41))
+    return ok, f"thresholds {thresholds}"
+
+
+
+def _tree_sum():
     for l in range(1, 6):
         by_rets = galled.galled_tree_sum_by_rets(l)
         if sum(by_rets) != galled.galled_tree_sum(l):
-            tree_ok = False
-        for k, value in enumerate(by_rets):
-            if value != galled.galled_count(l, k):
-                tree_ok = False
-    _check(out, "galled", "tree sum equals series counts (l <= 5)", tree_ok)
-    gamma_ok = galled.gamma_half_identity_check(8)
-    _check(out, "galled", "gamma half-integer identity (k <= 8, 1e-12)", gamma_ok)
-    improving = True
+            return False
+        if any(value != galled.galled_count(l, k) for k, value in enumerate(by_rets)):
+            return False
+    return True
+
+
+def main_term_gaps(closed_form) -> dict[tuple[int, int], float]:
+    """|count / main term - 1| by (k, l) for k = 1, 2, 3 and l = 100, 400, with
+    `closed_form(l, k)` giving the counts at k >= 2."""
+    gaps = {}
     for k in (1, 2, 3):
-        counts = {
-            l: (
-                onecomp.single_reticulation_count(l)
-                if k == 1
-                else galled.galled_closed_form(l, k)
-            )
-            for l in (100, 400)
-        }
-        r100 = galled.asymptotic_ratio(counts[100], 100, k)
-        r400 = galled.asymptotic_ratio(counts[400], 400, k)
-        if abs(r400 - 1) >= abs(r100 - 1):
-            improving = False
-    _check(out, "galled", "main-term ratio improves from l = 100 to l = 400 (k <= 3)", improving)
-    return out
+        for l in (100, 400):
+            count = onecomp.single_reticulation_count(l) if k == 1 else closed_form(l, k)
+            gaps[k, l] = abs(galled.asymptotic_ratio(count, l, k) - 1)
+    return gaps
 
 
-def retvis_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    cat3 = retvis.enumerate_patterns(3)
-    cat4 = retvis.enumerate_patterns(4)
-    sizes_ok = len(cat3) == 3 and len(cat4) == 13
-    syms_ok = sorted(s for _, s in cat3) == [1, 1, 2] and sorted(s for _, s in cat4) == [
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 6,
-    ]
-    _check(out, "retvis", "pattern catalog sizes and symmetry factors", sizes_ok and syms_ok)
-    stable = True
+def _main_term_improves(closed_form) -> bool:
+    gaps = main_term_gaps(closed_form)
+    return all(gaps[k, 400] < gaps[k, 100] for k in (1, 2, 3))
+
+
+
+def _catalog_sizes():
+    for m, (size, symmetries) in CATALOGS.items():
+        catalog = retvis.enumerate_patterns(m)
+        if len(catalog) != size or sorted(s for _, s in catalog) != symmetries:
+            return False
+    return True
+
+
+def _catalog_stable():
     rng = random.Random(7)
-    for pattern, _ in cat4:
+    for pattern, _ in retvis.enumerate_patterns(4):
         perm = {0: 0}
         rest = list(range(1, pattern.m))
         shuffled = rest[:]
@@ -174,23 +200,12 @@ def retvis_suite() -> list[CheckResult]:
             tuple(sorted((perm[u], perm[v], mult) for u, v, mult in pattern.edges)),
         )
         if relabeled.canonical_bytes() != pattern.canonical_bytes():
-            stable = False
-    _check(out, "retvis", "catalog stable under relabeling", stable)
-    thresholds = {k: retvis.closed_form_threshold(k) for k in (2, 3)}
-    closed_ok = thresholds == {2: 1, 3: 2}
-    for k in (2, 3):
-        egf = retvis.rv_egf(k, 40)
-        for l in range(thresholds[k], 41):
-            if retvis.rv_closed_form(l, k) != egf.count(l):
-                closed_ok = False
-    _check(
-        out,
-        "retvis",
-        "closed forms match pattern-sum series through l = 40",
-        closed_ok,
-        f"thresholds {thresholds}",
-    )
-    dominance_ok = True
+            return False
+    return True
+
+
+
+def _galled_dominated():
     for k in range(0, 4):
         gn_egf = galled.galled_egf(k, 25)
         rv_egf = retvis.rv_egf(k, 25)
@@ -198,24 +213,53 @@ def retvis_suite() -> list[CheckResult]:
             gn_c = gn_egf.count(l)
             rv_c = rv_egf.count(l)
             if gn_c > rv_c or (k <= 1 and gn_c != rv_c):
-                dominance_ok = False
-    _check(out, "retvis", "galled <= visible pointwise, equal for k <= 1 (l <= 25)", dominance_ok)
-    zeros_ok = all(
+                return False
+    return True
+
+
+def _rv_zeros():
+    return all(
         retvis.rv_count(l, k) == 0 for l in (1, 2) for k in range(3 * l - 2, 8)
     ) and all(retvis.vanishing_certificate(7, l) for l in (1, 2))
-    _check(
-        out,
-        "retvis",
-        "counts vanish beyond 3l-3 (l in {1,2}; k <= 6 direct, k = 7 certified)",
-        zeros_ok,
-    )
-    split_ok, bad = retvis.three_ret_split_check(24)
-    _check(out, "retvis", "tree/non-tree split matches closed Laurent forms", split_ok, str(bad))
-    comp_ok = retvis.rv_component_sum(1) == 1 and retvis.rv_component_sum(2) == sum(
-        retvis.rv_count(2, k) for k in range(4)
-    )
-    _check(out, "retvis", "component-graph sum matches series totals (l <= 2)", comp_ok)
-    return out
+
+
+
+def _displays():
+    order = 24
+    x = SqrtPoly.x_power
+    one = SqrtPoly.of({0: 1})
+    f2 = SqrtPoly.from_z_poly([3, -1, 7, -4]).exact_div(x(7))
+    shifts = (SqrtPoly.from_z_poly([0, 1]).exact_div(x(3)), f2)
+    # per-vertex series of the three-vertex patterns, keyed by
+    # (distinct children, double-edge children)
+    vertex_displays = {
+        (2, 2): SqrtPoly.of({-7: Fraction(15, 4), -5: Fraction(-3, 2), -3: Fraction(1, 4), -1: Fraction(1, 2)}),
+        (0, 0): one - x(1),
+        (1, 1): SqrtPoly.of({-3: Fraction(1, 2), -1: Fraction(-1, 2)}),
+        (2, 1): SqrtPoly.of({-5: Fraction(3, 2), -3: Fraction(-1, 2)}),
+        (1, 0): x(-1) - one,
+    }
+    vertices_ok, seen = True, set()
+    for pattern, _ in retvis.enumerate_patterns(3):
+        for v in range(pattern.m):
+            key = (pattern.out_count(v), pattern.double_count(v))
+            seen.add(key)
+            vertices_ok = vertices_ok and key in vertex_displays and (
+                retvis.vertex_egf(pattern, v, order) == vertex_displays[key].egf(order)
+            )
+    # both printed forms of the two-reticulation visible display, and the
+    # star-pattern contribution F2 * E0^2 / 2 they must equal
+    lhs = f2 * (SqrtPoly.from_z_poly([1, -1]) - x(1))
+    rhs = ((one - x(1)) ** 2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8))
+    parts = {
+        "F1, F2 shifts": all(
+            f.egf(order) == onecomp.block_shift_egf(k, order) for k, f in enumerate(shifts, 1)
+        ),
+        "vertex displays": vertices_ok and seen == set(vertex_displays),
+        "two-reticulation display": lhs == rhs == (f2 * (one - x(1)) ** 2).scale(Fraction(1, 2)),
+    }
+    return all(parts.values()), ", ".join(part for part, ok in parts.items() if not ok)
+
 
 
 def _galled_by_max_flow(net: networks.Network) -> bool:
@@ -262,104 +306,78 @@ def _two_edge_disjoint_paths(net: networks.Network, kinds, s: int, r: int) -> bo
     return True
 
 
-MATRIX_CELLS = [(l, k) for l in (1, 2, 3) for k in range(0, 4)] + [(2, 4), (2, 5)]
-
-
-def oracle_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    matrix_ok = True
+def _exhaustive_matrix():
     details = []
     for l, k in MATRIX_CELLS:
         counts = oracle.count_by_class(l, k)
-        expected_rv = retvis.rv_count(l, k) if k + 1 <= retvis.MAX_PATTERN_VERTICES else None
-        expected_gn = galled.galled_count(l, k)
-        cell_ok = counts.gn == expected_gn
-        if expected_rv is not None:
-            cell_ok = cell_ok and counts.rv == expected_rv
+        found = counts.as_dict()
+        cell_ok = counts.gn == galled.galled_count(l, k) and counts.rv == retvis.rv_count(l, k)
+        cell_ok = cell_ok and all(found[c] == v for c, v in SPOT_VALUES.get((l, k), {}).items())
         if k == 0:
-            cell_ok = cell_ok and counts.as_dict() == {
-                key: onecomp.tree_count(l) for key in ("pn", "rv", "gn", "tc", "normal")
-            }
+            cell_ok = cell_ok and found == dict.fromkeys(found, onecomp.tree_count(l))
         if k == 1:
             shared = onecomp.single_reticulation_count(l)
-            cell_ok = cell_ok and all(
-                getattr(counts, name) == shared for name in ("pn", "rv", "gn", "tc")
-            )
+            cell_ok = cell_ok and all(found[c] == shared for c in ("pn", "rv", "gn", "tc"))
         if k == 2:
             cell_ok = cell_ok and counts.normal == onecomp.normal_two_reticulation_count(l)
         ordered = (
             counts.normal <= counts.tc <= counts.rv <= counts.pn and counts.gn <= counts.rv
         )
-        cell_ok = cell_ok and ordered
-        if not cell_ok:
-            details.append(f"({l},{k}): {counts.as_dict()}")
-            matrix_ok = False
-    _check(out, "oracle", "exhaustive matrix matches formulas and series", matrix_ok, "; ".join(details))
-    for l in (2, 3, 4):
-        trees = oracle.count_by_class(l, 0).pn
-        _check(
-            out,
-            "oracle",
-            f"tree count at {l} leaves",
-            trees == onecomp.tree_count(l),
-            str(trees),
-        )
-    sample_ok = True
+        if not (cell_ok and ordered):
+            details.append(f"({l},{k}): {found}")
+    return not details, "; ".join(details)
+
+
+def _tree_count_at(leaves: int):
+    trees = oracle.count_by_class(leaves, 0).pn
+    return trees == onecomp.tree_count(leaves), trees
+
+
+def _enumerated_networks():
     for l, k in ((2, 2), (3, 1), (2, 3)):
         nets = list(oracle.enumerate_networks(l, k))
-        codes = {networks.canonical_code(net) for net in nets}
-        if len(codes) != len(nets):
-            sample_ok = False
+        if len({networks.canonical_code(net) for net in nets}) != len(nets):
+            return False
         for net in nets:
             if networks.validation_errors(net):
-                sample_ok = False
-            cg = networks.component_graph(net)
+                return False
             if networks.is_galled(net) != _galled_by_max_flow(net):
-                sample_ok = False
+                return False
+            cg = networks.component_graph(net)
             indegs = cg.weighted_indegrees()
             if any(indegs[v] != 2 for v in range(cg.n) if v != cg.root):
-                sample_ok = False
+                return False
             if networks.is_normal(net) and not networks.is_tree_child(net):
-                sample_ok = False
+                return False
             if networks.is_tree_child(net) and not networks.is_reticulation_visible(net):
-                sample_ok = False
+                return False
             if networks.is_galled(net) and not networks.is_reticulation_visible(net):
-                sample_ok = False
-    _check(
-        out,
-        "oracle",
-        "every enumerated network validates; codes distinct; predicates consistent",
-        sample_ok,
-    )
-    return out
+                return False
+    return True
 
 
-def appendix_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _saturation():
     summary = oracle.max_reticulation_summary(2)
-    _check(
-        out,
-        "appendix",
-        "saturation at 2 leaves: max 3 reticulations, count equals tree-child count",
-        summary == {"max_rets": 3, "count_at_max": 2, "tc_max_count": 2},
-        str(summary),
+    return summary == {"max_rets": 3, "count_at_max": 2, "tc_max_count": 2}, str(summary)
+
+
+def _capacity_identity():
+    return all(
+        oracle.reticulation_capacity(net) == 2 * l + k - 2
+        for l, k in ((2, 1), (3, 1), (3, 2))
+        for net in oracle.enumerate_networks(l, k)
+        if networks.is_tree_child(net)
     )
-    capacity_ok = True
-    for l, k in ((2, 1), (3, 1), (3, 2)):
-        for net in oracle.enumerate_networks(l, k):
-            if networks.is_tree_child(net):
-                if oracle.reticulation_capacity(net) != 2 * l + k - 2:
-                    capacity_ok = False
-    _check(out, "appendix", "capacity identity 2l + k - 2 on tree-child inputs", capacity_ok)
+
+
+def _multifurcation_split():
     star = [[1, 2, 3], [], [], []]  # multifurcating compressed shape
-    split = oracle.split_multifurcation(star, 0)
-    _check(
-        out,
-        "appendix",
-        "multifurcation split raises capacity by one",
-        oracle.reticulation_capacity(split) == oracle.reticulation_capacity(star) + 1,
-        f"{oracle.reticulation_capacity(star)} -> {oracle.reticulation_capacity(split)}",
-    )
+    before = oracle.reticulation_capacity(star)
+    after = oracle.reticulation_capacity(oracle.split_multifurcation(star, 0))
+    return after == before + 1, f"{before} -> {after}"
+
+
+def _decompression():
     images = []
     round_trips = True
     for net in oracle.enumerate_networks(3, 2):
@@ -367,39 +385,62 @@ def appendix_suite() -> list[CheckResult]:
             continue
         image = oracle.decompress_max_reticulated(net)
         images.append(image)
-        if image.num_reticulations != 6 or not networks.is_reticulation_visible(image):
+        if (
+            networks.validation_errors(image)
+            or image.num_reticulations != 6
+            or not networks.is_reticulation_visible(image)
+        ):
             round_trips = False
         actual = networks.component_graph(image).canonical_bytes()
-        expected = oracle.expected_compressed_form(net).canonical_bytes()
-        if actual != expected:
+        if actual != oracle.expected_compressed_form(net).canonical_bytes():
             round_trips = False
     codes = {networks.canonical_code(img) for img in images}
-    _check(
-        out,
-        "appendix",
-        "decompression: valid, visible, saturated, injective, round-trips",
-        round_trips and len(codes) == len(images) == oracle.count_by_class(3, 2).tc,
-        f"{len(images)} images",
-    )
-    return out
+    injective = len(codes) == len(images) == oracle.count_by_class(3, 2).tc
+    return round_trips and injective, f"{len(images)} images"
 
 
-SUITES = {
-    "genfun": genfun_suite,
-    "onecomp": onecomp_suite,
-    "galled": galled_suite,
-    "retvis": retvis_suite,
-    "oracle": oracle_suite,
-    "appendix": appendix_suite,
-}
-
-
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+CHECKS: list[tuple[str, str, Callable[[], object]]] = [
+    ("genfun", "coefficient formula thresholds", _formula_threshold_bound),
+    ("genfun", "formula matches exact extraction beyond thresholds", _formula_matches_extraction),
+    ("genfun", "algebra laws and derivative consistency", _algebra_laws),
+    ("genfun", "z-polynomial round trip", _z_poly_round_trip),
+    ("onecomp", "smallest nontrivial block count", lambda: onecomp.block_count(2, 1) == 1),
+    ("onecomp", "recurrence equals closed forms (rets 1, 2; l <= 50)", _block_closed_forms),
+    ("onecomp", "block counts nonnegative and integral (l <= 60)", _blocks_nonnegative),
+    ("onecomp", "block polynomial degree 2k, leading coefficient 2^k (k <= 6)", _block_polynomials),
+    ("onecomp", "shifted series equals k-fold derivative (k <= 6)", _shift_is_derivative),
+    ("galled", "series counts integral, zero exactly beyond 2l-2 (l <= 40)", _galled_support),
+    ("galled", "closed forms match series from their thresholds through l = 40", lambda: _closed_forms_match(
+        galled.closed_form_threshold, galled.galled_closed_form, galled.galled_egf, [(1, 2), (2, 3)]
+    )),
+    ("galled", "closed Laurent forms match series", lambda: all(
+        galled.galled_sqrt_form(k).egf(24) == galled.galled_egf(k, 24) for k in (1, 2)
+    )),
+    ("galled", "bivariate fixed-point identity (K=4, T=12)", lambda: galled.generating_identity_check(4, 12)),
+    ("galled", "tree sum equals series counts (l <= 5)", _tree_sum),
+    ("galled", "gamma half-integer identity (k <= 8, 1e-12)", lambda: galled.gamma_half_identity_check(8)),
+    ("galled", "main-term ratio improves from l = 100 to l = 400 (k <= 3)",
+     lambda: _main_term_improves(galled.galled_closed_form)),
+    ("retvis", "pattern catalog sizes and symmetry factors", _catalog_sizes),
+    ("retvis", "catalog stable under relabeling", _catalog_stable),
+    ("retvis", "closed forms match recurrence series from their thresholds through l = 40", lambda: (
+        _closed_forms_match(retvis.closed_form_threshold, retvis.rv_closed_form, retvis.rv_egf, [(1, 2)])
+    )),
+    ("retvis", "galled <= visible pointwise, equal for k <= 1 (l <= 25)", _galled_dominated),
+    ("retvis", "counts vanish beyond 3l-3 (l in {1,2}; k <= 7 direct, k = 7 also certified)", _rv_zeros),
+    ("retvis", "tree/non-tree split matches closed Laurent forms", lambda: retvis.three_ret_split_check(24)),
+    ("retvis", "generating-function displays match series at order 24", _displays),
+    ("retvis", "component-graph sum matches series totals (l <= 2)", lambda: (
+        retvis.rv_component_sum(1) == 1
+        and retvis.rv_component_sum(2) == sum(retvis.rv_count(2, k) for k in range(4))
+    )),
+    ("retvis", "main-term ratio improves from l = 100 to l = 400 (k <= 3)",
+     lambda: _main_term_improves(retvis.rv_closed_form)),
+    ("oracle", "exhaustive matrix matches formulas and series", _exhaustive_matrix),
+    *[("oracle", f"tree count at {l} leaves", functools.partial(_tree_count_at, l)) for l in range(1, 5)],
+    ("oracle", "every enumerated network validates; codes distinct; predicates consistent", _enumerated_networks),
+    ("appendix", "saturation at 2 leaves: max 3 reticulations, count equals tree-child count", _saturation),
+    ("appendix", "capacity identity 2l + k - 2 on tree-child inputs", _capacity_identity),
+    ("appendix", "multifurcation split raises capacity by one", _multifurcation_split),
+    ("appendix", "decompression: valid, visible, saturated, injective, round-trips", _decompression),
+]

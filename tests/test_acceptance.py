@@ -1,225 +1,162 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion, each running the `verify`
+registry checks listed for it in `CRITERIA` and printing a pass/fail line
+(`pytest tests/test_acceptance.py -v -s`).  Every registry check that no
+criterion claims runs as a `test_unclaimed_check` case.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Criterion 11 is expected to fail for k >= 2: the stated
-5% envelope at 400 leaves is unattainable because the true main-term ratio
-gap decays only like 1/sqrt(leaves) with k-dependent constants (measured
-ratios are printed; see the README).
+The one assertion outside the registry is criterion 11's 5% envelope at 400
+leaves, expected to fail for k >= 2: the main-term ratio gap decays only
+like 1/sqrt(leaves) with k-dependent constants (see the README).  As a
+registry check it would make `verify` exit 1.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from contextlib import contextmanager
-from fractions import Fraction
 
-from phylocount import galled, networks, onecomp, oracle, retvis, series
-from phylocount.series import SqrtPoly
+import pytest
+
+from phylocount import galled, retvis, verify
+
+CHECKS = {(suite, name): fn for suite, name, fn in verify.CHECKS}
+
+CRITERIA = {
+    1: (1.0, "block recurrence equals closed forms for l <= 50", [
+        ("onecomp", "smallest nontrivial block count"),
+        ("onecomp", "recurrence equals closed forms (rets 1, 2; l <= 50)"),
+    ]),
+    2: (10.0, "galled series equals closed forms through l = 40", [
+        ("galled", "closed forms match series from their thresholds through l = 40"),
+    ]),
+    3: (30.0, "visible pattern sum equals closed forms through l = 40", [
+        ("retvis", "closed forms match recurrence series from their thresholds through l = 40"),
+    ]),
+    4: (1.0, "pattern catalogs: 3 and 13 members, known symmetries", [
+        ("retvis", "pattern catalog sizes and symmetry factors"),
+    ]),
+    5: (5.0, "closed generating-function displays match series at order 24", [
+        ("galled", "closed Laurent forms match series"),
+        ("retvis", "tree/non-tree split matches closed Laurent forms"),
+        ("retvis", "generating-function displays match series at order 24"),
+    ]),
+    6: (5.0, "bivariate fixed-point identity at K = 4, T = 12", [
+        ("galled", "bivariate fixed-point identity (K=4, T=12)"),
+    ]),
+    7: (60.0, "tree sum equals series counts for l <= 5", [
+        ("galled", "tree sum equals series counts (l <= 5)"),
+    ]),
+    8: (300.0, "exhaustive counts match formulas and series", [
+        ("oracle", "exhaustive matrix matches formulas and series"),
+    ] + [("oracle", f"tree count at {l} leaves") for l in range(1, 5)]),
+    9: (300.0, "saturation bound and decompression round trips", [
+        ("appendix", "saturation at 2 leaves: max 3 reticulations, count equals tree-child count"),
+        ("appendix", "decompression: valid, visible, saturated, injective, round-trips"),
+    ]),
+    10: (1.0, "coefficient formula thresholds (table below)", [
+        ("genfun", "coefficient formula thresholds"),
+        ("genfun", "formula matches exact extraction beyond thresholds"),
+    ]),
+    11: (60.0, "main-term ratios: improvement and 5% envelope; gamma identity", [
+        ("galled", "gamma half-integer identity (k <= 8, 1e-12)"),
+        ("galled", "main-term ratio improves from l = 100 to l = 400 (k <= 3)"),
+        ("retvis", "main-term ratio improves from l = 100 to l = 400 (k <= 3)"),
+    ]),
+    12: (1.0, "closed forms vanish at the class boundaries", [
+        ("galled", "closed forms match series from their thresholds through l = 40"),
+        ("retvis", "closed forms match recurrence series from their thresholds through l = 40"),
+    ]),
+}
+CLAIMED = {key for _, _, keys in CRITERIA.values() for key in keys}
 
 
-@contextmanager
-def criterion(number: int, budget_seconds: float, summary: str):
-    state = {"failures": []}
+def run_criterion(number: int, extra=None) -> None:
+    """Run a criterion's registry checks, then `extra()` (a list of further
+    failure messages), and print the criterion's pass/fail line."""
+    budget, summary, keys = CRITERIA[number]
     start = time.perf_counter()
-    try:
-        yield state
-    except AssertionError as exc:
-        state["failures"].append(str(exc))
+    results = {key: verify.run_check(*key, CHECKS[key]) for key in keys}
+    failures = [f"[{r.suite}] {r.name} ({r.detail})" for r in results.values() if not r.ok]
+    if number == 10:
+        print("  threshold table:", results["genfun", "coefficient formula thresholds"].detail)
+    failures += extra() if extra else []
     elapsed = time.perf_counter() - start
-    status = "PASS" if not state["failures"] else "FAIL"
-    print(f"criterion {number:2d}: {status} — {summary} ({elapsed:.2f}s)")
-    assert not state["failures"], "; ".join(state["failures"])
-    assert elapsed < budget_seconds, f"criterion {number} took {elapsed:.1f}s"
+    print(f"criterion {number:2d}: {'FAIL' if failures else 'PASS'} — {summary} ({elapsed:.2f}s)")
+    assert not failures, "; ".join(failures)
+    assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s"
 
 
 def test_criterion_01_block_table():
-    with criterion(1, 1.0, "block recurrence equals closed forms for l <= 50"):
-        assert onecomp.block_count(2, 1) == 1
-        for l in range(1, 51):
-            assert onecomp.block_count(l, 1) == (l - 1) * series.double_factorial(2 * l - 3)
-            assert (
-                onecomp.block_count(l, 2)
-                == (2 * l - 1) * (l - 1) ** 2 * series.double_factorial(2 * l - 5)
-            )
+    run_criterion(1)
 
 
 def test_criterion_02_galled_cross_method():
-    with criterion(2, 10.0, "galled series equals closed forms through l = 40"):
-        thresholds = {k: galled.closed_form_threshold(k) for k in (2, 3)}
-        assert thresholds[2] <= 3 and thresholds[3] <= 3
-        for k in (2, 3):
-            egf = galled.galled_egf(k, 40)
-            for l in range(thresholds[k], 41):
-                assert galled.galled_closed_form(l, k) == egf.count(l), (k, l)
+    run_criterion(2)
 
 
 def test_criterion_03_visible_cross_method():
-    with criterion(3, 30.0, "visible pattern sum equals closed forms through l = 40"):
-        thresholds = {k: retvis.closed_form_threshold(k) for k in (2, 3)}
-        assert thresholds[2] <= 3 and thresholds[3] <= 3
-        for k in (2, 3):
-            egf = retvis.rv_egf(k, 40)
-            for l in range(1, 41):
-                total = egf.coeff(l) * math.factorial(l)
-                assert total.denominator == 1, "symmetry weights must resolve integrally"
-                if l >= thresholds[k]:
-                    assert retvis.rv_closed_form(l, k) == total, (k, l)
+    run_criterion(3)
 
 
 def test_criterion_04_pattern_catalog():
-    with criterion(4, 1.0, "pattern catalogs: 3 and 13 members, known symmetries"):
-        cat3 = retvis.enumerate_patterns(3)
-        cat4 = retvis.enumerate_patterns(4)
-        assert len(cat3) == 3
-        assert len(cat4) == 13
-        assert sorted(s for _, s in cat3) == [1, 1, 2]
-        assert sorted(s for _, s in cat4) == [1] * 9 + [2, 2, 2, 6]
+    run_criterion(4)
 
 
 def test_criterion_05_generating_function_displays():
-    with criterion(5, 5.0, "closed generating-function displays match series at order 24"):
-        order = 24
-        x = SqrtPoly.x_power
-        one = SqrtPoly.of({0: 1})
-        # shifted block series
-        assert SqrtPoly.from_z_poly([0, 1]).exact_div(x(3)).egf(order) == onecomp.block_shift_egf(1, order)
-        f2 = SqrtPoly.from_z_poly([3, -1, 7, -4]).exact_div(x(7))
-        assert f2.egf(order) == onecomp.block_shift_egf(2, order)
-        # per-vertex series of the three-vertex patterns
-        displays = {
-            (2, 2): SqrtPoly.of({-7: Fraction(15, 4), -5: Fraction(-3, 2), -3: Fraction(1, 4), -1: Fraction(1, 2)}),
-            (0, 0): one - x(1),
-            (1, 1): SqrtPoly.of({-3: Fraction(1, 2), -1: Fraction(-1, 2)}),
-            (2, 1): SqrtPoly.of({-5: Fraction(3, 2), -3: Fraction(-1, 2)}),
-            (1, 0): x(-1) - one,
-        }
-        seen = set()
-        for pattern, _ in retvis.enumerate_patterns(3):
-            for v in range(pattern.m):
-                key = (pattern.out_count(v), pattern.double_count(v))
-                seen.add(key)
-                assert retvis.vertex_egf(pattern, v, order) == displays[key].egf(order), key
-        assert seen == set(displays)
-        # galled series closed forms
-        for k in (1, 2):
-            assert galled.galled_sqrt_form(k).egf(order) == galled.galled_egf(k, order)
-        # the two-reticulation visible Laurent display: both printed forms
-        # agree and equal the star-pattern contribution F2 * E0^2 / 2
-        lhs = (f2 * (SqrtPoly.from_z_poly([1, -1]) - x(1)))
-        rhs = ((one - x(1)) ** 2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8))
-        assert lhs == rhs
-        assert lhs == (f2 * (one - x(1)) ** 2).scale(Fraction(1, 2))
-        # tree-like and non-tree-like halves of the four-vertex pattern sum
-        ok, bad = retvis.three_ret_split_check(order)
-        assert ok, f"split check fails at {bad}"
+    run_criterion(5)
 
 
 def test_criterion_06_fixed_point_identity():
-    with criterion(6, 5.0, "bivariate fixed-point identity at K = 4, T = 12"):
-        ok, bad = galled.generating_identity_check(4, 12)
-        assert ok, f"first bad coefficient {bad}"
+    run_criterion(6)
 
 
 def test_criterion_07_tree_sum():
-    with criterion(7, 60.0, "tree sum equals series counts for l <= 5"):
-        for l in range(1, 6):
-            by_rets = galled.galled_tree_sum_by_rets(l)
-            assert sum(by_rets) == galled.galled_tree_sum(l)
-            for k, value in enumerate(by_rets):
-                assert value == galled.galled_count(l, k), (l, k)
+    run_criterion(7)
 
 
 def test_criterion_08_exhaustive_matrix():
-    with criterion(8, 300.0, "exhaustive counts match formulas and series"):
-        assert oracle.count_by_class(2, 2).gn == 3
-        assert oracle.count_by_class(2, 2).rv == 5
-        cell31 = oracle.count_by_class(3, 1)
-        assert cell31.pn == cell31.rv == cell31.gn == cell31.tc == 21
-        for l in range(1, 5):
-            assert oracle.count_by_class(l, 0).pn == onecomp.tree_count(l)
-        cells = [(l, k) for l in (1, 2, 3) for k in range(4)] + [(2, 4), (2, 5)]
-        for l, k in cells:
-            counts = oracle.count_by_class(l, k)
-            assert counts.gn == galled.galled_count(l, k), (l, k, "gn")
-            assert counts.rv == retvis.rv_count(l, k), (l, k, "rv")
-            if k == 0:
-                assert counts.pn == counts.tc == counts.normal == onecomp.tree_count(l)
-            if k == 1:
-                shared = onecomp.single_reticulation_count(l)
-                assert (counts.pn, counts.rv, counts.gn, counts.tc) == (shared,) * 4
-            if k == 2:
-                assert counts.normal == onecomp.normal_two_reticulation_count(l)
-            assert counts.normal <= counts.tc <= counts.rv <= counts.pn
-            assert counts.gn <= counts.rv
+    run_criterion(8)
 
 
 def test_criterion_09_saturation_and_decompression():
-    with criterion(9, 300.0, "saturation bound and decompression round trips"):
-        summary = oracle.max_reticulation_summary(2)
-        assert summary["max_rets"] == 3
-        assert summary["count_at_max"] == summary["tc_max_count"] == 2
-        images = []
-        for net in oracle.enumerate_networks(3, 2):
-            if not networks.is_tree_child(net):
-                continue
-            image = oracle.decompress_max_reticulated(net)
-            images.append(image)
-            assert image.num_reticulations == 6
-            assert not networks.validation_errors(image)
-            assert networks.is_reticulation_visible(image)
-            actual = networks.component_graph(image).canonical_bytes()
-            assert actual == oracle.expected_compressed_form(net).canonical_bytes()
-        codes = {networks.canonical_code(img) for img in images}
-        assert len(codes) == len(images)
+    run_criterion(9)
 
 
 def test_criterion_10_coefficient_formula():
-    with criterion(10, 1.0, "coefficient formula thresholds (table below)"):
-        table = series.formula_threshold_table(-9, 9, 60)
-        print("  threshold table:", " ".join(f"{d}:{n0}" for d, n0 in sorted(table.items())))
-        for d, n0 in table.items():
-            assert n0 <= max(0, math.ceil(d / 2)) + 1, d
-            for n in range(n0, 61):
-                assert series.sqrt_pow_coeff_formula(d, n) == series.sqrt_pow_coeff(d, n), (d, n)
+    run_criterion(10)
+
+
+def _envelope_violations() -> list[str]:
+    """|count / main term - 1| at 400 leaves must be within 5% for k <= 3."""
+    gaps = {"gn": verify.main_term_gaps(galled.galled_closed_form), "rv": verify.main_term_gaps(retvis.rv_closed_form)}
+    print(
+        "  measured |ratio - 1|:",
+        " ".join(
+            f"{cls},k={k}: {gap[k, 100]:.4f}@100 {gap[k, 400]:.4f}@400"
+            for cls, gap in gaps.items()
+            for k in (1, 2, 3)
+        ),
+    )
+    violations = {(cls, k): gap[k, 400] for cls, gap in gaps.items() for k in (1, 2, 3) if gap[k, 400] > 0.05}
+    if not violations:
+        return []
+    return [
+        "5% envelope exceeded at 400 leaves (gap decays as 1/sqrt(leaves) "
+        f"with k-dependent constants): {violations}"
+    ]
 
 
 def test_criterion_11_asymptotics():
-    with criterion(11, 60.0, "main-term ratios: improvement and 5% envelope; gamma identity"):
-        assert galled.gamma_half_identity_check(8, 1e-12)
-        measured = {}
-        for cls in ("gn", "rv"):
-            for k in (1, 2, 3):
-                def count(l: int) -> int:
-                    if k == 1:
-                        return onecomp.single_reticulation_count(l)
-                    if cls == "gn":
-                        return galled.galled_closed_form(l, k)
-                    return retvis.rv_closed_form(l, k)
-
-                gap100 = abs(galled.asymptotic_ratio(count(100), 100, k) - 1)
-                gap400 = abs(galled.asymptotic_ratio(count(400), 400, k) - 1)
-                measured[(cls, k)] = (gap100, gap400)
-        print(
-            "  measured |ratio - 1|:",
-            " ".join(
-                f"{cls},k={k}: {g100:.4f}@100 {g400:.4f}@400"
-                for (cls, k), (g100, g400) in sorted(measured.items())
-            ),
-        )
-        for key, (gap100, gap400) in measured.items():
-            assert gap400 < gap100, f"no improvement for {key}"
-        violations = {
-            key: gap400 for key, (_, gap400) in measured.items() if gap400 > 0.05
-        }
-        assert not violations, (
-            "5% envelope exceeded at 400 leaves (gap decays as 1/sqrt(leaves) "
-            f"with k-dependent constants): {violations}"
-        )
+    run_criterion(11, _envelope_violations)
 
 
 def test_criterion_12_boundary_zeros():
-    with criterion(12, 1.0, "closed forms vanish at the class boundaries"):
-        assert galled.galled_closed_form(1, 2) == 0
-        assert galled.galled_closed_form(2, 3) == 0
-        assert retvis.rv_closed_form(1, 2) == 0
+    run_criterion(12)
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [key for key in CHECKS if key not in CLAIMED],
+    ids=lambda value: value,
+)
+def test_unclaimed_check(suite, name):
+    result = verify.run_check(suite, name, CHECKS[suite, name])
+    assert result.ok, result.detail

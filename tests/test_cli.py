@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phylocount.cli import CLASSES, METHODS, main
-from phylocount import io
+from phylocount import io, verify
 from phylocount.networks import Network
 
 
@@ -95,10 +96,39 @@ def test_blocks_csv(capsys):
     assert "3,3,6,20" in out
 
 
+# sha256 of the complete stdout of the fast suites; the same digests pin these
+# calls in the benchmark
+VERIFY_STDOUT = {
+    "genfun": (4, "b448ff335d9ba3ab45cdfa9678235b6b1abdbcddb792df6f6fb5d4ee8f974880"),
+    "onecomp": (5, "d6130ad490226f341b13ff209b0500e2c449f0a452477a4c357d83f0b351414a"),
+    "galled": (7, "0298e8880d1a357b3c339cbb49af958690a39c6ba9ff8544692ba4c9623d8bc1"),
+}
+
+
 def test_verify_fast_suite(capsys):
+    for suite, (passes, digest) in VERIFY_STDOUT.items():
+        code, out = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out.count(" PASS: ") == passes and "FAIL" not in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    checks = list(verify.CHECKS)
+    index = next(i for i, (suite, _, _) in enumerate(checks) if suite == "genfun")
+    suite, name, _ = checks[index]
+
+    def broken():
+        raise ArithmeticError("coefficient of z^3 is not 1/3! integral")
+
+    checks[index] = (suite, name, broken)
+    monkeypatch.setattr(verify, "CHECKS", checks)
     code, out = run_cli(capsys, "verify", "--suite", "genfun")
-    assert code == 0
-    assert "PASS" in out and "FAIL" not in out
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"[genfun] FAIL: {name}  (ArithmeticError: coefficient of z^3 is not 1/3! integral)"
+    assert all(" PASS: " in line for line in lines[1:-1]) and len(lines) == 5
+    assert lines[-1] == "3/4 checks passed"
 
 
 def test_asympt_output(capsys):
@@ -122,10 +152,17 @@ def test_asympt_output(capsys):
         "count --class gn --leaves 9 --method treesum",
         "count --class gn --leaves 9 --rets 2 --method treesum",
         "count --class onecomp --leaves 2 --rets 1 --method brute",
+        # output paths that cannot be written
+        "table --class gn --lmax 3 --kmax 1 --out {missing}/x.csv",
+        "blocks --lmax 3 --kmax 1 --out {missing}/x.csv",
+        "enumerate --leaves 2 --rets 1 --out {file}",
+        "patterns --m 3 --dot {file}",
     ],
 )
-def test_bad_arguments_are_usage_errors(capsys, argv):
-    assert main(argv.split()) == 2
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    assert main(argv.format(missing=tmp_path / "missing", file=existing).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
