@@ -33,15 +33,34 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """Read a network document; malformed input raises `ValueError`.
+
+    Well-formed documents may still describe an invalid network (say, an edge
+    target out of range); :func:`phylocount.networks.validation_errors`
+    reports those.
+    """
     doc = json.loads(text)
-    if doc.get("schema") != NETWORK_SCHEMA:
+    if not isinstance(doc, dict) or doc.get("schema") != NETWORK_SCHEMA:
         raise ValueError(f"expected schema {NETWORK_SCHEMA}")
+    missing = [field for field in ("root", "vertices", "edges") if field not in doc]
+    if missing:
+        raise ValueError(f"network document lacks {', '.join(missing)}")
     n = len(doc["vertices"])
     children: list[list[int]] = [[] for _ in range(n)]
     for v, w in doc["edges"]:
-        children[v].append(w)
-    labels = {v["id"]: v["label"] for v in doc["vertices"] if "label" in v}
+        children[_vertex_index(v, n, "edge source")].append(w)
+    labels = {
+        _vertex_index(v.get("id"), n, "vertex id"): v["label"]
+        for v in doc["vertices"]
+        if "label" in v
+    }
     return Network.build(children, labels, doc["root"])
+
+
+def _vertex_index(value, n: int, what: str) -> int:
+    if not isinstance(value, int) or not 0 <= value < n:
+        raise ValueError(f"{what} {value!r} is not a vertex index in 0..{n - 1}")
+    return value
 
 
 def network_to_dot(net: Network, name: str = "network") -> str:

@@ -421,17 +421,17 @@ def canonical_code(net: Network) -> bytes:
     """Deterministic bytes equal for two networks iff they are isomorphic as
     leaf-labeled rooted DAGs.
 
-    Each vertex gets an invariant key: the rank of its bottom-up unfolding
-    among the network's unfoldings, with the sorted keys of its parents.
-    When the keys are pairwise distinct, sorting by key orders the vertices
-    canonically and the code is the network written in that order.  Only
-    otherwise does the general canonizer of :mod:`phylocount.canon` run.
-    Distinctness is itself an invariant, and the two kinds of code carry
-    different tags, so they never meet.
+    Each vertex gets an invariant key: the rank of its unfolding signature
+    (see :func:`_unfolding`) among the network's signatures, with the sorted
+    keys of its parents.  When the keys are pairwise distinct, sorting by key
+    orders the vertices canonically and the code is the network written in
+    that order.  Only otherwise does the general canonizer of
+    :mod:`phylocount.canon` run.  Distinctness is itself an invariant, and
+    the two kinds of code carry different tags, so they never meet.
     """
     _require_valid(net)
     n = net.n
-    order, up = _unfolding(net)
+    order, kinds, up = _unfolding(net)
     rank = {sig: i for i, sig in enumerate(sorted(set(up)))}
     parents = net.parents()
     key: list = [None] * n
@@ -440,8 +440,7 @@ def canonical_code(net: Network) -> bytes:
         if len(keys) == 2 and keys[1] < keys[0]:
             keys.reverse()
         key[v] = (rank[up[v]], tuple(keys))
-    # up[v][0] is the kind's place in _KIND_ORDER
-    colors = [(up[v][0] << 20) | net.leaf_labels[v] for v in range(n)]
+    colors = [(kinds[v] << 20) | net.leaf_labels[v] for v in range(n)]
     if len(set(key)) < n:
         edges = [(u, w, 1) for u, w in net.edges()]
         return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
@@ -455,13 +454,14 @@ def canonical_code(net: Network) -> bytes:
     return _ORDER_TAG + repr((n, tuple(ordered_colors), tuple(edges))).encode()
 
 
-def structure_key(net: Network):
-    """Cheap isomorphism invariant: the recursive unfolding of the DAG.
+def structure_key(net: Network) -> str:
+    """Cheap isomorphism invariant: the root's unfolding signature, one flat
+    string (see :func:`_unfolding`).
 
     Equal keys do not in general imply isomorphism (sharing is lost), so this
     only serves as a fast pre-filter before :func:`canonical_code`.
     """
-    _, up = _unfolding(net)
+    _, _, up = _unfolding(net)
     return up[net.root]
 
 
@@ -471,27 +471,36 @@ _DEGREE_KIND_ORDER = {
 }
 
 
-def _unfolding(net: Network) -> tuple[list[int], list[tuple]]:
-    """A topological order (root first) and every vertex's bottom-up
-    signature: its kind's place in `_KIND_ORDER` with the sorted signatures
-    of its children, or with its label for a leaf."""
+def _unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
+    """A topological order (root first), every vertex's kind as its place in
+    `_KIND_ORDER`, and every vertex's bottom-up signature.
+
+    A signature is one string: the kind's place, then `:label;` for a leaf,
+    or the sorted signatures of the children inside `(...)`.  The encoding
+    is prefix-free, so two signatures are equal iff the unfoldings (the
+    trees obtained by copying every shared subnetwork) are equal; this is the
+    string form of the classic tree-isomorphism code (Aho, Hopcroft &
+    Ullman 1974, section 3.2).
+    """
     children = net.children
     indeg = net.indegrees()
     order = _topo_order(net, indeg)
+    kinds = [0] * net.n
     up: list = [None] * net.n
     for v in reversed(order):
         kids = children[v]
         kind = _DEGREE_KIND_ORDER.get((indeg[v], len(kids)))
         if kind is None:
             _classify(indeg[v], len(kids))  # raises
+        kinds[v] = kind
         if not kids:  # a leaf
-            up[v] = (kind, net.leaf_labels[v])
+            up[v] = f"{kind}:{net.leaf_labels[v]};"
         elif len(kids) == 2:
             a, b = up[kids[0]], up[kids[1]]
-            up[v] = (kind, (a, b) if a <= b else (b, a))
+            up[v] = f"{kind}({a}{b})" if a <= b else f"{kind}({b}{a})"
         else:
-            up[v] = (kind, (up[kids[0]],))
-    return order, up
+            up[v] = f"{kind}({up[kids[0]]})"
+    return order, kinds, up
 
 
 def _topo_order(net: Network, indeg: list[int]) -> list[int]:

@@ -77,12 +77,18 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     slots: list[list] = [[0, None]]  # [vertex, minimum descriptor]
     ret_parent: dict[int, int] = {}  # open reticulations -> first parent
     seen: dict = {}
+    # every candidate shares one label tuple and, through this table, every
+    # equal child tuple, so the representatives kept in `seen` are small
+    leaf_labels = (0,) * first_leaf + tuple(range(1, leaves + 1))
+    child_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # lazy canonical codes: the first member of a bucket is only canonized
     # when a second candidate shows up
     def emit_checked():
-        labels = {first_leaf + i: i + 1 for i in range(leaves)}
-        net = Network.build([list(c) for c in children], labels)
+        net = Network(
+            tuple([child_tuples.setdefault(kids, kids) for kids in map(tuple, children)]),
+            leaf_labels,
+        )
         key = structure_key(net)
         bucket = seen.get(key)
         if bucket is None:

@@ -223,6 +223,25 @@ def test_json_round_trip_via_io():
     assert io.network_from_json(io.network_to_json(net)) == net
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc["edges"].append([9, 1]), "edge source 9"),
+        (lambda doc: doc["vertices"][-1].update(id=6), "vertex id 6"),
+        (lambda doc: doc.pop("root"), "lacks root"),
+        (lambda doc: doc.pop("vertices"), "lacks vertices"),
+        (lambda doc: doc.pop("edges"), "lacks edges"),
+    ],
+    ids=["edge-source-out-of-range", "vertex-id-out-of-range", "no-root", "no-vertices", "no-edges"],
+)
+def test_malformed_network_json_is_a_value_error(change, message):
+    net = Network.build([[1], [2, 3], [3, 4], [5], [], []], {4: 2, 5: 1})
+    doc = json.loads(io.network_to_json(net))
+    change(doc)
+    with pytest.raises(ValueError, match=message):
+        io.network_from_json(json.dumps(doc))
+
+
 def _call(argv):
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):

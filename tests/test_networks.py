@@ -23,7 +23,7 @@ from phylocount.networks import (
     validation_errors,
 )
 from phylocount import canon
-from phylocount.networks import _CANON_TAG, _KIND_ORDER
+from phylocount.networks import _CANON_TAG, _KIND_ORDER, _unfolding
 from phylocount.oracle import enumerate_networks
 
 
@@ -217,3 +217,86 @@ def test_canonical_code_agrees_with_general_canonizer(cell, size, fallbacks):
     # equal codes <=> equal general-canonizer codes, over every pair
     assert len(set(zip(codes, plain))) == len(set(codes)) == len(set(plain)) == size
     assert sum(code.startswith(_CANON_TAG) for code in codes[::2]) == fallbacks
+
+
+def _reference_unfolding(net: Network, v: int):
+    # the unfolding as nested tuples: (kind place, label) for a leaf,
+    # (kind place, sorted child unfoldings) otherwise
+    kind = _KIND_ORDER[net.kind(v)]
+    if not net.children[v]:
+        return (kind, net.leaf_labels[v])
+    return (kind, tuple(sorted(_reference_unfolding(net, w) for w in net.children[v])))
+
+
+def _decode(sig: str, i: int = 0):
+    # read one signature by its delimiters alone: the kind place, then
+    # `:label;` or `(` child signatures `)`; returns (unfolding, end)
+    kind = int(sig[i])
+    if sig[i + 1] == ":":
+        end = sig.index(";", i)
+        return (kind, int(sig[i + 2 : end])), end + 1
+    if sig[i + 1] != "(":
+        raise ValueError(f"no delimiter after the kind at {i}")
+    i += 2
+    kids = []
+    while sig[i] != ")":
+        kid, i = _decode(sig, i)
+        kids.append(kid)
+    return (kind, tuple(sorted(kids))), i + 1
+
+
+def _tree(nested) -> Network:
+    # a tree from nested pairs of leaf labels, under a stem root
+    children: list[list[int]] = [[]]
+    labels = {}
+
+    def add(node) -> int:
+        v = len(children)
+        children.append([])
+        if isinstance(node, int):
+            labels[v] = node
+        else:
+            children[v] = [add(node[0]), add(node[1])]
+        return v
+
+    children[0] = [add(nested)]
+    return Network.build(children, labels)
+
+
+# pairs of 11- and 12-leaf trees whose signatures are equal once the `;`
+# and `( )` delimiters are struck out, as `3:11;3:2;` and `3:1;)1(3:2;`
+# both read 3:113:2
+COLLIDING_WITHOUT_DELIMITERS = [
+    (
+        (((((3, 8), 2), 10), 11), (((4, 9), 1), ((5, 6), 7))),
+        (((((3, 8), 2), 10), 1), ((((4, 9), 11), (5, 6)), 7)),
+    ),
+    (
+        (((((2, 7), 5), (10, 4)), 11), (((3, 8), 1), ((6, 9), 12))),
+        (((((2, 7), 5), (10, 4)), 1), ((((3, 8), 11), (6, 9)), 12)),
+    ),
+]
+_UNDELIMITED = str.maketrans("", "", ";()")
+
+
+def test_structure_key_is_the_unfolding_written_with_delimiters():
+    rng = random.Random(9)
+    nets = [_tree(t) for pair in COLLIDING_WITHOUT_DELIMITERS for t in pair]
+    for cell in ((2, 3), (3, 2)):
+        for net in enumerate_networks(*cell):
+            perm = list(range(net.n))
+            rng.shuffle(perm)
+            nets += [net, net.relabel_vertices(dict(enumerate(perm)))]
+    keys = [structure_key(net) for net in nets]
+    refs = [_reference_unfolding(net, net.root) for net in nets]
+    # every key reads back as its network's unfolding, so the encoding is
+    # injective; equal keys <=> equal unfoldings, over every pair
+    for net, key, ref in zip(nets, keys, refs):
+        assert _decode(key) == (ref, len(key))
+        assert _unfolding(net)[1] == [_KIND_ORDER[kind] for kind in net.kinds()]
+    assert len(set(zip(keys, refs))) == len(set(keys)) == len(set(refs))
+    for a, b in COLLIDING_WITHOUT_DELIMITERS:
+        key_a, key_b = structure_key(_tree(a)), structure_key(_tree(b))
+        assert key_a != key_b
+        assert key_a.translate(_UNDELIMITED) == key_b.translate(_UNDELIMITED)
+

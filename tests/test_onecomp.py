@@ -81,11 +81,6 @@ def test_block_polynomial_structure():
         block_polynomial(0)
 
 
-def test_shift_series_is_derivative():
-    for k in range(0, 7):
-        assert block_shift_egf(k, 20) == block_egf(k, 20 + k).diff(k)
-
-
 def test_shift_forms_match_displays():
     # F0 = 1 - x, F1 = z / x^3, F2 = (3 - z + 7z^2 - 4z^3) / x^7
     for k in (0, 1, 2):

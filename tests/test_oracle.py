@@ -64,6 +64,17 @@ def test_enumerated_networks_validate_and_are_distinct():
         assert len(codes) == len(nets)
 
 
+def test_enumerated_networks_share_labels_and_child_tuples():
+    # one enumeration builds one label tuple, and equal child tuples are one
+    # object, so the representatives its dedupe table keeps stay small
+    nets = list(enumerate_networks(3, 2))
+    assert len({id(net.leaf_labels) for net in nets}) == 1
+    first = {}
+    for net in nets:
+        for kids in net.children:
+            assert first.setdefault(kids, kids) is kids
+
+
 def test_one_reticulation_coincidence():
     counts = count_by_class(3, 1)
     shared = single_reticulation_count(3)
