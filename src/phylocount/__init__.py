@@ -13,9 +13,24 @@ binary phylogenetic networks:
 - ``cli``       command-line interface
 """
 
-from phylocount.series import Egf, SqrtPoly
-from phylocount.networks import Network, VertexKind, ComponentGraph
+import importlib
 
-__all__ = ["Egf", "SqrtPoly", "Network", "VertexKind", "ComponentGraph"]
+# the re-exported names and their modules, imported on first access (PEP 562)
+# so that `import phylocount.cli` loads only what the subcommand runs
+_EXPORTS = {
+    "Egf": "series",
+    "SqrtPoly": "series",
+    "Network": "networks",
+    "VertexKind": "networks",
+    "ComponentGraph": "networks",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -4,6 +4,10 @@ Subcommands: count, table, blocks, verify, asympt, enumerate, patterns.
 All exact values are printed as full decimal integers; floating-point output
 carries explicit precision annotations.  Exit codes: 0 success, 1 verification
 failure, 2 usage error or an output path that cannot be written.
+
+Each handler imports the package modules it runs, so a call loads only what
+its subcommand needs: a galled count or a block table never loads the
+network model, the oracle or the verification suites.
 """
 
 from __future__ import annotations
@@ -13,13 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from phylocount import galled, io, onecomp, oracle, retvis
-from phylocount import verify as verify_mod
-
 CLASSES = ("pn", "rv", "gn", "tc", "normal", "onecomp", "trees")
 METHODS = ("auto", "series", "closed", "treesum", "dagsum", "brute")
-# the validated range of each class's closed forms, discovered against its series
-THRESHOLDS = {"gn": galled.closed_form_threshold, "rv": retvis.closed_form_threshold}
 
 
 class UsageError(Exception):
@@ -68,11 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_blocks)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=("all",) + tuple(sorted(verify_mod.SUITES)),
-    )
+    p.add_argument("--suite", default="all", help="one suite, or all of them (default)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("asympt", help="exact counts against the asymptotic main term")
@@ -84,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="write every network of a cell to disk")
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--rets", type=int, required=True)
-    p.add_argument("--class", dest="cls", default=None, choices=tuple(oracle.CLASS_PREDICATES))
+    p.add_argument("--class", dest="cls", default=None, help="write only networks of this class")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("json", "dot", "both"), default="both")
     p.set_defaults(handler=_cmd_enumerate)
@@ -98,24 +93,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_rv_series(rets: int) -> None:
+def _rv_series(rets: int, order: int):
     """The rv series is offered as far as the pattern catalog that checks it
     reaches: rets <= MAX_PATTERN_VERTICES - 1."""
+    from phylocount import retvis
+
     if rets + 1 > retvis.MAX_PATTERN_VERTICES:
         raise UsageError(f"rv series supports rets <= {retvis.MAX_PATTERN_VERTICES - 1}")
+    return retvis.rv_egf(rets, order)
 
 
 def _series_count(cls: str, leaves: int, rets: int, order: int | None) -> int:
     order = max(order or 0, leaves)
     if cls == "gn":
+        from phylocount import galled
+
         return galled.galled_egf(rets, order).count(leaves)
     if cls == "rv":
-        _require_rv_series(rets)
-        return retvis.rv_egf(rets, order).count(leaves)
+        return _rv_series(rets, order).count(leaves)
     raise UsageError(f"no series method for class {cls!r}")
 
 
+def _threshold(cls: str, rets: int) -> int:
+    """The validated range of a gn or rv closed form, discovered against its series."""
+    if cls == "gn":
+        from phylocount import galled
+
+        return galled.closed_form_threshold(rets)
+    from phylocount import retvis
+
+    return retvis.closed_form_threshold(rets)
+
+
 def _closed_count(cls: str, leaves: int, rets: int):
+    from phylocount import onecomp
+
     if cls == "trees":
         if rets not in (0, None):
             raise UsageError("trees have no reticulations; use --rets 0")
@@ -128,7 +140,7 @@ def _closed_count(cls: str, leaves: int, rets: int):
         return onecomp.single_reticulation_count(leaves), "validated"
     if (cls, rets) in onecomp.CLOSED_FORMS:
         value = onecomp.closed_form(cls, leaves, rets)
-        return value, "validated" if leaves >= THRESHOLDS[cls](rets) else "below-threshold"
+        return value, "validated" if leaves >= _threshold(cls, rets) else "below-threshold"
     if cls == "normal" and rets == 2:
         return onecomp.normal_two_reticulation_count(leaves), "validated"
     raise UsageError(f"no closed form for class {cls!r} at rets={rets}")
@@ -188,6 +200,8 @@ def _cmd_count(args) -> int:
     elif method == "treesum":
         if cls != "gn":
             raise UsageError("treesum counts per cell exist for the galled class only")
+        from phylocount import galled
+
         by_rets = galled.galled_tree_sum_by_rets(leaves)
         value = by_rets[rets] if rets < len(by_rets) else 0
     elif method == "brute":
@@ -212,8 +226,12 @@ def _cmd_count(args) -> int:
 def _cmd_count_total(args) -> int:
     cls, leaves = args.cls, args.leaves
     if cls == "gn":
+        from phylocount import galled
+
         value = galled.galled_tree_sum(leaves)
     elif cls == "rv":
+        from phylocount import retvis
+
         value = retvis.rv_component_sum(leaves)
     else:
         raise UsageError("totals via treesum exist for classes gn and rv")
@@ -230,6 +248,8 @@ def _cmd_count_total(args) -> int:
 
 
 def _brute_count(cls: str, leaves: int, rets: int) -> int:
+    from phylocount import oracle
+
     field = "pn" if cls == "trees" else cls
     if field not in oracle.CLASS_PREDICATES:
         raise UsageError(f"no exhaustive count for class {cls!r}")
@@ -237,6 +257,8 @@ def _brute_count(cls: str, leaves: int, rets: int) -> int:
 
 
 def _cmd_table(args) -> int:
+    from phylocount import onecomp
+
     cls, lmax, kmax = args.cls, args.lmax, args.kmax
     if lmax < 1 or kmax < 0:
         raise UsageError("need --lmax >= 1 and --kmax >= 0")
@@ -256,11 +278,10 @@ def _cmd_table(args) -> int:
             elif cls == "onecomp":
                 row.append(onecomp.one_component_count(l, k))
             elif cls == "gn":
-                row.append(galled.galled_egf(k, max(lmax, l)).count(l))
+                row.append(_series_count(cls, l, k, lmax))
             elif cls == "rv":
                 if k not in rv_columns:
-                    _require_rv_series(k)
-                    rv_columns[k] = retvis.rv_egf(k, lmax)
+                    rv_columns[k] = _rv_series(k, lmax)
                 row.append(rv_columns[k].count(l))
             elif k == 0:
                 row.append(onecomp.tree_count(l))
@@ -289,6 +310,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    from phylocount import onecomp
+
     if args.lmax < 1 or args.kmax < 0:
         raise UsageError("need --lmax >= 1 and --kmax >= 0")
     text = onecomp.block_table_csv(args.lmax, args.kmax)
@@ -300,7 +323,9 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite)
+    from phylocount import verify
+
+    results = verify.run_suite(args.suite)
     failures = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -312,6 +337,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
+    from phylocount import galled
+
     cls, rets = args.cls, args.rets
     if rets < 0:
         raise UsageError("--rets must be >= 0")
@@ -345,6 +372,8 @@ def _cmd_asympt(args) -> int:
 def _asympt_count(cls: str, leaves: int, rets: int) -> int:
     """Exact count behind one asympt row: a positive integer from a formula
     validated at this cell, or a usage error."""
+    from phylocount import onecomp
+
     if leaves < 1:
         raise UsageError("--leaves values must be >= 1")
     if rets > _bound_for(cls, leaves):
@@ -356,7 +385,7 @@ def _asympt_count(cls: str, leaves: int, rets: int) -> int:
         return onecomp.tree_count(leaves)
     if rets == 1:
         return onecomp.single_reticulation_count(leaves)
-    threshold = THRESHOLDS[cls](rets)
+    threshold = _threshold(cls, rets)
     if leaves < threshold:
         raise UsageError(
             f"the {cls} closed form for rets={rets} is validated for leaves >= {threshold}"
@@ -365,6 +394,8 @@ def _asympt_count(cls: str, leaves: int, rets: int) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from phylocount import io, oracle
+
     job = oracle.EnumerationJob(args.leaves, args.rets, args.cls)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -384,6 +415,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
+    from phylocount import io, retvis
+
     catalog = retvis.enumerate_patterns(args.m)
     if args.dot:
         args.dot.mkdir(parents=True, exist_ok=True)

@@ -45,20 +45,32 @@ def network_from_json(text: str) -> Network:
     missing = [field for field in ("root", "vertices", "edges") if field not in doc]
     if missing:
         raise ValueError(f"network document lacks {', '.join(missing)}")
-    n = len(doc["vertices"])
+    root, vertices, edges = doc["root"], doc["vertices"], doc["edges"]
+    if not isinstance(vertices, list) or not all(isinstance(v, dict) for v in vertices):
+        raise ValueError("vertices must be a list of objects")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("edges must be a list of [source, target] pairs")
+    _require_int(root, "root")
+    n = len(vertices)
     children: list[list[int]] = [[] for _ in range(n)]
-    for v, w in doc["edges"]:
-        children[_vertex_index(v, n, "edge source")].append(w)
+    for v, w in edges:
+        children[_vertex_index(v, n, "edge source")].append(_require_int(w, "edge target"))
     labels = {
         _vertex_index(v.get("id"), n, "vertex id"): v["label"]
-        for v in doc["vertices"]
+        for v in vertices
         if "label" in v
     }
-    return Network.build(children, labels, doc["root"])
+    return Network.build(children, labels, root)
+
+
+def _require_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # JSON true is no index
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _vertex_index(value, n: int, what: str) -> int:
-    if not isinstance(value, int) or not 0 <= value < n:
+    if not 0 <= _require_int(value, what) < n:
         raise ValueError(f"{what} {value!r} is not a vertex index in 0..{n - 1}")
     return value
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,13 +61,18 @@ def double_factorial_cont(n: int) -> Fraction:
 
 
 def rational_binomial(alpha: Fraction, n: int) -> Fraction:
-    """Generalized binomial coefficient C(alpha, n) for rational alpha."""
+    """Generalized binomial coefficient C(alpha, n) for rational alpha.
+
+    With alpha = p/q in lowest terms, C(alpha, n) is the integer product of
+    p - i q over i < n, divided by q^n n!; one Fraction is built at the end.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    num = Fraction(1)
+    p, q = alpha.numerator, alpha.denominator
+    num = 1
     for i in range(n):
-        num *= alpha - i
-    return num / math.factorial(n)
+        num *= p - i * q
+    return Fraction(num, q**n * math.factorial(n))
 
 
 def sqrt_pow_coeff(d: int, n: int) -> Fraction:
@@ -157,17 +161,22 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, init=False)
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+
 class Egf:
     """Truncated series sum_{n<=order} c_n z^n with exact rational coefficients.
 
     Stored as integer counts over one common denominator: nums[n] equals
     n! * c_n * den, with den > 0 and gcd(den, *nums) == 1, so equal values
-    have equal fields.  A product is the binomial convolution of the counts.
-    Binary operations truncate to the smaller order of the two operands;
-    nothing ever extends a truncation silently.
+    have equal fields, and equality and hash compare the fields.  A product
+    is the binomial convolution of the counts.  Binary operations truncate
+    to the smaller order of the two operands; nothing ever extends a
+    truncation silently.  Instances are immutable.
     """
 
+    __slots__ = ("nums", "den")
     nums: tuple[int, ...]
     den: int
 
@@ -185,6 +194,19 @@ class Egf:
         nums = tuple(c.numerator * (den // c.denominator) for c in scaled)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Egf):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"Egf(nums={self.nums!r}, den={self.den!r})"
 
     @staticmethod
     def _of(nums: tuple[int, ...], den: int = 1) -> "Egf":
@@ -335,15 +357,31 @@ def _binomial_convolution(a: Sequence[int], b: Sequence[int], t: int) -> tuple[i
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class SqrtPoly:
     """Finite Laurent polynomial sum_d a_d x^d in x = sqrt(1 - 2z).
 
     Terms are kept sorted by exponent with zero coefficients pruned, so
-    equality of values is equality of dataclasses.
+    equality of values is equality of term tuples.  Instances are immutable.
     """
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[int, Fraction], ...]
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SqrtPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"SqrtPoly(terms={self.terms!r})"
 
     @staticmethod
     def of(mapping: Mapping[int, object] | Iterable[tuple[int, object]]) -> "SqrtPoly":

@@ -46,7 +46,8 @@ CRITERIA = {
     ]),
     8: (300.0, "exhaustive counts match formulas and series", [
         ("oracle", "exhaustive matrix matches formulas and series"),
-    ] + [("oracle", f"tree count at {l} leaves") for l in range(1, 5)]),
+        ("oracle", "tree count at 4 leaves"),
+    ]),
     9: (300.0, "saturation bound and decompression round trips", [
         ("appendix", "saturation at 2 leaves: max 3 reticulations, count equals tree-child count"),
         ("appendix", "decompression: valid, visible, saturated, injective, round-trips"),

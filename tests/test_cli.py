@@ -152,6 +152,8 @@ def test_asympt_output(capsys):
         "count --class gn --leaves 9 --method treesum",
         "count --class gn --leaves 9 --rets 2 --method treesum",
         "count --class onecomp --leaves 2 --rets 1 --method brute",
+        "verify --suite bogus",
+        "enumerate --leaves 2 --rets 1 --class bogus --out {missing}",
         # output paths that cannot be written
         "table --class gn --lmax 3 --kmax 1 --out {missing}/x.csv",
         "blocks --lmax 3 --kmax 1 --out {missing}/x.csv",
@@ -231,8 +233,18 @@ def test_json_round_trip_via_io():
         (lambda doc: doc.pop("root"), "lacks root"),
         (lambda doc: doc.pop("vertices"), "lacks vertices"),
         (lambda doc: doc.pop("edges"), "lacks edges"),
+        (lambda doc: doc["edges"].append(3), "edges must be a list of"),
+        (lambda doc: doc["vertices"].append(6), "vertices must be a list of objects"),
+        (lambda doc: doc.update(vertices=7), "vertices must be a list of objects"),
+        (lambda doc: doc.update(root="0"), "root '0' is not an integer"),
+        (lambda doc: doc["edges"].append([1, "5"]), "edge target '5' is not an integer"),
+        (lambda doc: doc["edges"].__setitem__(0, [False, True]), "edge source False is not an integer"),
     ],
-    ids=["edge-source-out-of-range", "vertex-id-out-of-range", "no-root", "no-vertices", "no-edges"],
+    ids=[
+        "edge-source-out-of-range", "vertex-id-out-of-range", "no-root", "no-vertices", "no-edges",
+        "edge-not-a-pair", "vertex-not-an-object", "vertices-not-a-list", "root-not-an-integer",
+        "edge-target-not-an-integer", "edge-given-as-booleans",
+    ],
 )
 def test_malformed_network_json_is_a_value_error(change, message):
     net = Network.build([[1], [2, 3], [3, 4], [5], [], []], {4: 2, 5: 1})

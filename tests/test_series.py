@@ -229,9 +229,21 @@ def test_twice_differentiated_block_form_matches_shift_series():
     assert twice.egf(20) == block_shift_egf(2, 20)
 
 
+def _binomial_by_fractions(alpha: Fraction, n: int) -> Fraction:
+    """Reference C(alpha, n): n Fraction products, then the division by n!."""
+    value = Fraction(1)
+    for i in range(n):
+        value *= alpha - i
+    return value / math.factorial(n)
+
+
 def test_rational_binomial():
     assert rational_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert rational_binomial(Fraction(5), 2) == 10
+    alphas = [Fraction(d, 2) for d in range(-9, 10)] + [Fraction(1, 3), Fraction(-7, 5)]
+    for alpha in alphas:
+        for n in range(61):
+            assert rational_binomial(alpha, n) == _binomial_by_fractions(alpha, n), (alpha, n)
 
 
 def test_polynomial_interpolation():
@@ -239,6 +251,17 @@ def test_polynomial_interpolation():
     coeffs = polynomial_interpolate(points)
     assert coeffs == (Fraction(3), Fraction(-5), Fraction(2))
     assert polynomial_eval(coeffs, Fraction(10)) == 153
+
+
+def test_series_values_are_immutable():
+    egf, poly = Egf.from_counts([1, 1, 3]), SqrtPoly.x_power(-1)
+    for value, field in ((egf, "nums"), (egf, "den"), (poly, "terms"), (egf, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+    for value, field in ((egf, "nums"), (poly, "terms")):
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert egf == Egf.from_counts([1, 1, 3]) and poly == SqrtPoly.x_power(-1)
 
 
 def test_json_round_trips():
