@@ -6,11 +6,13 @@ binary phylogenetic networks:
 - ``series``    exact truncated EGFs and Laurent polynomials in sqrt(1-2z)
 - ``onecomp``   one-component building-block counts and their series
 - ``networks``  the network data model, class predicates, component graphs
-- ``canon``     canonical forms and automorphism counts for small DAGs
+- ``canon``     canonical forms and automorphism counts for small DAGs, and
+                the DAG patterns of the visible pattern sum
 - ``galled``    galled-network counts (series, closed forms, tree sums)
 - ``retvis``    reticulation-visible counts via DAG-pattern sums
 - ``oracle``    brute-force enumeration and the saturated-network analysis
 - ``cli``       command-line interface
+- ``records``   the immutable value-record base of the classes above
 """
 
 import importlib

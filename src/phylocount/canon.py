@@ -1,4 +1,5 @@
-"""Canonical forms and automorphism counts for small rooted directed multigraphs.
+"""Canonical forms and automorphism counts for small rooted directed
+multigraphs, and the DAG patterns of the visible-network pattern sum.
 
 The canonizer is a standard colour-refinement / individualisation search.  It
 is exact: two inputs get the same canonical bytes iff they are isomorphic as
@@ -9,6 +10,8 @@ most a couple of dozen vertices; no attempt is made at asymptotic cleverness.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from phylocount.records import Record
 
 Edge = tuple[int, int, int]  # (src, dst, multiplicity)
 
@@ -165,3 +168,43 @@ def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
         return found
 
     return extend(0)
+
+
+class DagPattern(Record):
+    """Unlabeled rooted multigraph DAG: root of indegree 0, every other vertex
+    of weighted indegree exactly 2, edge multiplicities 1 or 2."""
+
+    __slots__ = _fields = ("m", "edges", "root")
+    m: int
+    edges: tuple[Edge, ...]
+    root: int
+
+    def __init__(self, m: int, edges: tuple[Edge, ...], root: int = 0):
+        indeg = [0] * m
+        for _, dst, mult in edges:
+            if mult not in (1, 2):
+                raise ValueError("edge multiplicities must be 1 or 2")
+            indeg[dst] += mult
+        if indeg[root] != 0:
+            raise ValueError("root must have indegree 0")
+        if any(indeg[v] != 2 for v in range(m) if v != root):
+            raise ValueError("non-root vertices must have weighted indegree 2")
+        self._set(m, edges, root)
+
+    def children(self, v: int) -> list[tuple[int, int]]:
+        return [(dst, mult) for src, dst, mult in self.edges if src == v]
+
+    def out_count(self, v: int) -> int:
+        """Number of distinct children (a double edge counts one child)."""
+        return len(self.children(v))
+
+    def double_count(self, v: int) -> int:
+        """Number of children attached by a double edge."""
+        return sum(1 for _, mult in self.children(v) if mult == 2)
+
+    def canonical_bytes(self) -> bytes:
+        colors = [1 if v == self.root else 0 for v in range(self.m)]
+        return canonical_bytes(self.m, self.edges, colors)
+
+    def automorphism_count(self) -> int:
+        return automorphism_count(self.m, self.edges, self.root)

@@ -424,18 +424,15 @@ def _cmd_patterns(args) -> int:
             path = args.dot / f"pattern_{args.m}_{index:04d}.dot"
             path.write_text(io.pattern_to_dot(pattern, symmetry, name=f"pattern_{index}"))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "m": args.m,
-                    "count": len(catalog),
-                    "patterns": [
-                        json.loads(io.pattern_to_json(p, s)) for p, s in catalog
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+        # one pattern at a time, in the bytes json.dumps(..., sort_keys=True)
+        # gives the whole document: keys count, m, patterns
+        out = sys.stdout
+        out.write(f'{{"count": {len(catalog)}, "m": {args.m}, "patterns": [')
+        for index, (pattern, symmetry) in enumerate(catalog):
+            if index:
+                out.write(", ")
+            out.write(json.dumps(io.pattern_doc(pattern, symmetry), sort_keys=True))
+        out.write("]}\n")
     else:
         print(f"{len(catalog)} patterns with {args.m} vertices")
         for pattern, symmetry in catalog:

@@ -7,8 +7,11 @@ documentation.  All output is deterministic (sorted keys, sorted edges).
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from phylocount.networks import ComponentGraph, DagPattern, Network
+if TYPE_CHECKING:  # annotations only: `patterns` calls never load the network model
+    from phylocount.canon import DagPattern
+    from phylocount.networks import ComponentGraph, Network
 
 NETWORK_SCHEMA = "phylocount.network/1"
 COMPONENT_GRAPH_SCHEMA = "phylocount.component_graph/1"
@@ -39,6 +42,8 @@ def network_from_json(text: str) -> Network:
     target out of range); :func:`phylocount.networks.validation_errors`
     reports those.
     """
+    from phylocount.networks import Network
+
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") != NETWORK_SCHEMA:
         raise ValueError(f"expected schema {NETWORK_SCHEMA}")
@@ -124,7 +129,8 @@ def component_graph_to_dot(cg: ComponentGraph, name: str = "components") -> str:
     return "\n".join(lines) + "\n"
 
 
-def pattern_to_json(pattern: DagPattern, symmetry: int | None = None) -> str:
+def pattern_doc(pattern: DagPattern, symmetry: int | None = None) -> dict:
+    """The `phylocount.pattern/1` document of a pattern, as a dict."""
     doc = {
         "schema": PATTERN_SCHEMA,
         "root": pattern.root,
@@ -135,7 +141,11 @@ def pattern_to_json(pattern: DagPattern, symmetry: int | None = None) -> str:
     }
     if symmetry is not None:
         doc["symmetries"] = symmetry
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return doc
+
+
+def pattern_to_json(pattern: DagPattern, symmetry: int | None = None) -> str:
+    return json.dumps(pattern_doc(pattern, symmetry), sort_keys=True, separators=(",", ":"))
 
 
 def pattern_to_dot(pattern: DagPattern, symmetry: int | None = None, name: str = "pattern") -> str:

@@ -10,11 +10,10 @@ values; nothing here mutates.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
 from itertools import permutations
 
 from phylocount import canon
+from phylocount.records import Record
 
 
 class VertexKind(enum.Enum):
@@ -32,8 +31,7 @@ _KIND_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """Rooted binary leaf-labeled network.
 
     `children[v]` lists the children of vertex v; `leaf_labels[v]` is the
@@ -42,9 +40,15 @@ class Network:
     per object and kept (see :func:`validation_errors`).
     """
 
+    _fields = ("children", "leaf_labels", "root")
+    __slots__ = _fields + ("_errors",)
     children: tuple[tuple[int, ...], ...]
     leaf_labels: tuple[int, ...]
-    root: int = 0
+    root: int
+
+    def __init__(self, children: tuple[tuple[int, ...], ...], leaf_labels: tuple[int, ...],
+                 root: int = 0):
+        self._set(children, leaf_labels, root)
 
     @staticmethod
     def build(children, leaf_labels: dict[int, int], root: int = 0) -> "Network":
@@ -54,9 +58,14 @@ class Network:
             labels[v] = label
         return Network(tuple(tuple(c) for c in children), tuple(labels), root)
 
-    @functools.cached_property
+    @property
     def _validation_errors(self) -> tuple[str, ...]:
-        return _find_errors(self)
+        try:
+            return self._errors
+        except AttributeError:  # the first request
+            errors = _find_errors(self)
+            object.__setattr__(self, "_errors", errors)
+            return errors
 
     @property
     def n(self) -> int:
@@ -134,6 +143,8 @@ def _find_errors(net: Network) -> tuple[str, ...]:
     # range, and the indegrees, which are only counted for in-range children
     if not 0 <= root < n:
         return (f"declared root {root} is out of range",)
+    if len(labels) != n:
+        return (f"{len(labels)} leaf labels for {n} vertices",)
     indeg = [0] * n
     for v, kids in enumerate(children):
         if len(kids) > 1 and len(kids) != len(set(kids)):
@@ -277,8 +288,7 @@ def is_galled(net: Network) -> bool:
     return component_graph(net).stripped_is_tree()
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
+class ComponentGraph(Record):
     """Compressed view of a network: one vertex per tree component.
 
     Edges record how reticulations join components; `double` marks the case
@@ -288,11 +298,15 @@ class ComponentGraph:
     component vertex (`terminal_labels`).
     """
 
+    __slots__ = _fields = ("n", "root", "edges", "attached", "terminal_labels")
     n: int
     root: int
     edges: tuple[tuple[int, int, bool], ...]
     attached: tuple[tuple[int, ...], ...]
     terminal_labels: tuple[int, ...]  # 0 where absent
+
+    def __init__(self, n: int, root: int, edges, attached, terminal_labels):
+        self._set(n, root, edges, attached, terminal_labels)
 
     def weighted_indegrees(self) -> list[int]:
         indeg = [0] * self.n
@@ -371,45 +385,6 @@ def component_graph(net: Network) -> ComponentGraph:
         attached=tuple(tuple(sorted(a)) for a in attached),
         terminal_labels=tuple(terminal),
     )
-
-
-@dataclass(frozen=True)
-class DagPattern:
-    """Unlabeled rooted multigraph DAG: root of indegree 0, every other vertex
-    of weighted indegree exactly 2, edge multiplicities 1 or 2."""
-
-    m: int
-    edges: tuple[tuple[int, int, int], ...]  # (src, dst, multiplicity)
-    root: int = 0
-
-    def __post_init__(self):
-        indeg = [0] * self.m
-        for _, dst, mult in self.edges:
-            if mult not in (1, 2):
-                raise ValueError("edge multiplicities must be 1 or 2")
-            indeg[dst] += mult
-        if indeg[self.root] != 0:
-            raise ValueError("root must have indegree 0")
-        if any(indeg[v] != 2 for v in range(self.m) if v != self.root):
-            raise ValueError("non-root vertices must have weighted indegree 2")
-
-    def children(self, v: int) -> list[tuple[int, int]]:
-        return [(dst, mult) for src, dst, mult in self.edges if src == v]
-
-    def out_count(self, v: int) -> int:
-        """Number of distinct children (a double edge counts one child)."""
-        return len(self.children(v))
-
-    def double_count(self, v: int) -> int:
-        """Number of children attached by a double edge."""
-        return sum(1 for _, mult in self.children(v) if mult == 2)
-
-    def canonical_bytes(self) -> bytes:
-        colors = [1 if v == self.root else 0 for v in range(self.m)]
-        return canon.canonical_bytes(self.m, self.edges, colors)
-
-    def automorphism_count(self) -> int:
-        return canon.automorphism_count(self.m, self.edges, self.root)
 
 
 # leading byte of a canonical code: written in refinement order, or by canon

@@ -221,6 +221,7 @@ def baseline_counts(leaves: int) -> dict[str, int]:
 
 def block_table_csv(lmax: int, kmax: int) -> str:
     """CSV of block counts, rows l = 1..lmax, columns k = 0..kmax."""
+    block_count(lmax, min(lmax, kmax))  # fill the table once, from its far corner
     lines = ["leaves," + ",".join(f"k={k}" for k in range(kmax + 1))]
     for l in range(1, lmax + 1):
         lines.append(str(l) + "," + ",".join(str(block_count(l, k)) for k in range(kmax + 1)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from phylocount.networks import (
@@ -26,25 +25,27 @@ from phylocount.networks import (
     structure_key,
     validation_errors,
 )
+from phylocount.records import Record
 
 VERTEX_BUDGET = 14
 
 
-@dataclass(frozen=True)
-class EnumerationJob:
+class EnumerationJob(Record):
+    __slots__ = _fields = ("leaves", "rets", "class_filter")
     leaves: int
     rets: int
-    class_filter: str | None = None
+    class_filter: str | None
 
-    def __post_init__(self):
-        if self.leaves < 1 or self.rets < 0:
+    def __init__(self, leaves: int, rets: int, class_filter: str | None = None):
+        self._set(leaves, rets, class_filter)
+        if leaves < 1 or rets < 0:
             raise ValueError("need leaves >= 1 and rets >= 0")
         if self.vertex_budget > VERTEX_BUDGET:
             raise ValueError(
                 f"job needs {self.vertex_budget} vertices, budget is {VERTEX_BUDGET}"
             )
-        if self.class_filter is not None and self.class_filter not in CLASS_PREDICATES:
-            raise ValueError(f"unknown class {self.class_filter!r}")
+        if class_filter is not None and class_filter not in CLASS_PREDICATES:
+            raise ValueError(f"unknown class {class_filter!r}")
 
     @property
     def vertex_budget(self) -> int:
@@ -172,13 +173,16 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     yield from rec(0, 0, 0, (1 << leaves) - 1)
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(Record):
+    __slots__ = _fields = ("pn", "rv", "gn", "tc", "normal")
     pn: int
     rv: int
     gn: int
     tc: int
     normal: int
+
+    def __init__(self, pn: int, rv: int, gn: int, tc: int, normal: int):
+        self._set(pn, rv, gn, tc, normal)
 
     def as_dict(self) -> dict[str, int]:
         return {"pn": self.pn, "rv": self.rv, "gn": self.gn, "tc": self.tc, "normal": self.normal}

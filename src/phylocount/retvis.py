@@ -14,10 +14,10 @@ import functools
 import math
 from fractions import Fraction
 
+from phylocount import canon
+from phylocount.canon import DagPattern
 from phylocount.series import Egf, SqrtPoly, validated_from
-from phylocount.networks import DagPattern
 from phylocount.onecomp import block_count, closed_form
-from phylocount.galled import galled_egf
 
 MAX_PATTERN_VERTICES = 8
 
@@ -301,8 +301,6 @@ def rv_component_sum(leaves: int) -> int:
         raise ValueError(f"component sum supports 1 <= leaves <= {MAX_COMPONENT_SUM_LEAVES}")
     from itertools import permutations
 
-    from phylocount import canon
-
     seen: set[bytes] = set()
     total = 0
     # Internal-vertex count never exceeds 3*leaves - 3 (one compressed vertex
@@ -409,6 +407,8 @@ def _shape_weight(internal: int, parent_sets, counts) -> int:
 def galled_series_reference(leaves: int, rets: int) -> int:
     """Galled count via the tree-pattern part of the pattern sum, used as a
     cross-check that tree-like patterns reproduce the galled class."""
+    from phylocount.galled import galled_egf  # only this check needs the galled series
+
     total = Egf.zero(leaves)
     for pattern, symmetry in enumerate_patterns(rets + 1):
         if pattern_is_treelike(pattern):

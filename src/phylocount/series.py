@@ -24,6 +24,8 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from phylocount.records import Record
+
 
 def double_factorial(n: int) -> int:
     """Odd double factorial n!! with the conventions (-1)!! = 1, (-3)!! = -1.
@@ -161,11 +163,7 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _immutable(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
-
-
-class Egf:
+class Egf(Record):
     """Truncated series sum_{n<=order} c_n z^n with exact rational coefficients.
 
     Stored as integer counts over one common denominator: nums[n] equals
@@ -176,7 +174,7 @@ class Egf:
     truncation silently.  Instances are immutable.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = _fields = ("nums", "den")
     nums: tuple[int, ...]
     den: int
 
@@ -192,21 +190,7 @@ class Egf:
             scaled.append(_as_fraction(c) * fact)
         den = math.lcm(*(c.denominator for c in scaled))
         nums = tuple(c.numerator * (den // c.denominator) for c in scaled)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Egf):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __repr__(self) -> str:
-        return f"Egf(nums={self.nums!r}, den={self.den!r})"
+        self._set(nums, den)
 
     @staticmethod
     def _of(nums: tuple[int, ...], den: int = 1) -> "Egf":
@@ -217,8 +201,7 @@ class Egf:
                 den //= g
                 nums = tuple(v // g for v in nums)
         egf = object.__new__(Egf)
-        object.__setattr__(egf, "nums", nums)
-        object.__setattr__(egf, "den", den)
+        egf._set(nums, den)
         return egf
 
     @staticmethod
@@ -357,31 +340,18 @@ def _binomial_convolution(a: Sequence[int], b: Sequence[int], t: int) -> tuple[i
     return tuple(out)
 
 
-class SqrtPoly:
+class SqrtPoly(Record):
     """Finite Laurent polynomial sum_d a_d x^d in x = sqrt(1 - 2z).
 
     Terms are kept sorted by exponent with zero coefficients pruned, so
     equality of values is equality of term tuples.  Instances are immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
     terms: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
-        object.__setattr__(self, "terms", terms)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SqrtPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __repr__(self) -> str:
-        return f"SqrtPoly(terms={self.terms!r})"
+        self._set(terms)
 
     @staticmethod
     def of(mapping: Mapping[int, object] | Iterable[tuple[int, object]]) -> "SqrtPoly":

@@ -209,6 +209,31 @@ def test_patterns_catalog(tmp_path, capsys):
     assert len(list(tmp_path.glob("*.dot"))) == 3
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_patterns_json_streams_the_bytes_of_one_dump(capsys, m):
+    from phylocount.retvis import enumerate_patterns
+
+    catalog = enumerate_patterns(m)
+    doc = {
+        "m": m,
+        "count": len(catalog),
+        "patterns": [
+            {
+                "schema": io.PATTERN_SCHEMA,
+                "root": p.root,
+                "m": p.m,
+                "edges": [{"from": u, "to": v, "multiplicity": k} for u, v, k in sorted(p.edges)],
+                "symmetries": s,
+            }
+            for p, s in catalog
+        ],
+    }
+    assert run_cli(capsys, "patterns", "--m", str(m)) == (0, json.dumps(doc, sort_keys=True) + "\n")
+    text = [f"{len(catalog)} patterns with {m} vertices"]
+    text += [f"  edges={p.edges} symmetries={s}" for p, s in catalog]
+    assert run_cli(capsys, "patterns", "--m", str(m), "--format", "text") == (0, "\n".join(text) + "\n")
+
+
 def test_component_graph_serialization():
     from phylocount.networks import component_graph
 

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from phylocount.canon import DagPattern
 from phylocount.networks import (
-    DagPattern,
     Network,
     VertexKind,
     all_leaf_relabelings,
@@ -185,6 +185,15 @@ def test_out_of_range_indices_reported_not_raised():
     assert not is_valid(net)
     stray_root = Network(((1,), ()), (0, 1), 5)
     assert validation_errors(stray_root) == ["declared root 5 is out of range"]
+
+
+def test_leaf_label_count_mismatch_reported_not_raised():
+    short = Network(((1,), ()), (0,))
+    assert validation_errors(short) == ["1 leaf labels for 2 vertices"]
+    with pytest.raises(ValueError, match="1 leaf labels for 2 vertices"):
+        is_tree_child(short)
+    long = Network(((1,), ()), (0, 1, 0))
+    assert validation_errors(long) == ["3 leaf labels for 2 vertices"]
 
 
 def test_validation_result_is_a_fresh_list_each_call():
