@@ -21,17 +21,13 @@ CLASSES = ("pn", "rv", "gn", "tc", "normal", "onecomp", "trees")
 METHODS = ("auto", "series", "closed", "treesum", "dagsum", "brute")
 
 
-class UsageError(Exception):
-    pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
     # a ValueError is an argument out of range, an OSError an unwritable output path
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -49,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rets", type=int, default=None)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--trunc-order", type=int, default=None)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("table", help="matrix of exact counts")
@@ -93,25 +88,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rv_series(rets: int, order: int):
-    """The rv series is offered as far as the pattern catalog that checks it
+# the method a count reports when the series of its class answers it
+SERIES_METHODS = {"gn": "series", "rv": "dagsum"}
+# the most reticulations a network of the class has, (a, b) of a * leaves + b
+# floored at 0; pn has no such bound
+BOUNDS = {"gn": (2, -2), "rv": (3, -3), "tc": (1, -1), "normal": (1, -2), "onecomp": (1, 0), "trees": (0, 0)}
+
+
+def _beyond_bound(cls: str, leaves: int, rets: int) -> bool:
+    if cls not in BOUNDS:
+        return False
+    a, b = BOUNDS[cls]
+    return rets > max(a * leaves + b, 0)
+
+
+def _series(cls: str, rets: int, order: int):
+    """The gn or rv series at one reticulation count, memoized by its module.
+    The rv series is offered as far as the pattern catalog that checks it
     reaches: rets <= MAX_PATTERN_VERTICES - 1."""
-    from phylocount import retvis
-
-    if rets + 1 > retvis.MAX_PATTERN_VERTICES:
-        raise UsageError(f"rv series supports rets <= {retvis.MAX_PATTERN_VERTICES - 1}")
-    return retvis.rv_egf(rets, order)
-
-
-def _series_count(cls: str, leaves: int, rets: int, order: int | None) -> int:
-    order = max(order or 0, leaves)
     if cls == "gn":
         from phylocount import galled
 
-        return galled.galled_egf(rets, order).count(leaves)
-    if cls == "rv":
-        return _rv_series(rets, order).count(leaves)
-    raise UsageError(f"no series method for class {cls!r}")
+        return galled.galled_egf(rets, order)
+    if cls != "rv":
+        raise ValueError(f"no series method for class {cls!r}")
+    from phylocount import retvis
+
+    if rets + 1 > retvis.MAX_PATTERN_VERTICES:
+        raise ValueError(f"rv series supports rets <= {retvis.MAX_PATTERN_VERTICES - 1}")
+    return retvis.rv_egf(rets, order)
 
 
 def _threshold(cls: str, rets: int) -> int:
@@ -126,88 +131,61 @@ def _threshold(cls: str, rets: int) -> int:
 
 
 def _closed_count(cls: str, leaves: int, rets: int):
+    """A closed form's value and validity; a `CLOSED_FORMS` row is validated
+    only from the threshold its series confirms."""
     from phylocount import onecomp
 
-    if cls == "trees":
-        if rets not in (0, None):
-            raise UsageError("trees have no reticulations; use --rets 0")
-        return onecomp.tree_count(leaves), "validated"
-    if cls == "onecomp":
-        return onecomp.one_component_count(leaves, rets), "validated"
-    if rets == 0:
-        return onecomp.tree_count(leaves), "validated"
-    if rets == 1 and cls in ("pn", "rv", "gn", "tc"):
-        return onecomp.single_reticulation_count(leaves), "validated"
-    if (cls, rets) in onecomp.CLOSED_FORMS:
-        value = onecomp.closed_form(cls, leaves, rets)
-        return value, "validated" if leaves >= _threshold(cls, rets) else "below-threshold"
-    if cls == "normal" and rets == 2:
-        return onecomp.normal_two_reticulation_count(leaves), "validated"
-    raise UsageError(f"no closed form for class {cls!r} at rets={rets}")
+    value = onecomp.closed_form(cls, leaves, rets)
+    if (cls, rets) in onecomp.CLOSED_FORMS and leaves < _threshold(cls, rets):
+        return value, "below-threshold"
+    return value, "validated"
 
 
-def _bound_for(cls: str, leaves: int) -> int | None:
-    bounds = {
-        "gn": 2 * leaves - 2,
-        "rv": 3 * leaves - 3,
-        "tc": leaves - 1,
-        "normal": leaves - 2,
-        "onecomp": leaves,
-        "trees": 0,
-    }
-    return bounds.get(cls)
+def _auto_count(cls: str, leaves: int, rets: int):
+    """(value, method, validity) of the first route that answers: a validated
+    closed form, the gn or rv series, the exhaustive oracle."""
+    from phylocount import onecomp
+
+    if onecomp.has_closed_form(cls, rets):
+        value, validity = _closed_count(cls, leaves, rets)
+        if validity == "validated":
+            return value, "closed", validity
+    if cls in SERIES_METHODS:
+        return _series(cls, rets, leaves).count(leaves), SERIES_METHODS[cls], "validated"
+    return _brute_count(cls, leaves, rets), "brute", "validated"
 
 
 def _cmd_count(args) -> int:
-    cls, leaves, rets = args.cls, args.leaves, args.rets
+    cls, leaves, rets, method = args.cls, args.leaves, args.rets, args.method
     if leaves < 1:
-        raise UsageError("--leaves must be >= 1")
+        raise ValueError("--leaves must be >= 1")
     if rets is None:
         if cls == "trees":
             rets = 0
-        elif args.method == "treesum":
+        elif method == "treesum":
             return _cmd_count_total(args)
         else:
-            raise UsageError("--rets is required (or use --method treesum for totals)")
+            raise ValueError("--rets is required (or use --method treesum for totals)")
     if rets < 0:
-        raise UsageError("--rets must be >= 0")
-    if args.trunc_order is not None and args.trunc_order < 0:
-        raise UsageError("--trunc-order must be >= 0")
-    method = args.method
+        raise ValueError("--rets must be >= 0")
     validity = "validated"
-    bound = _bound_for(cls, leaves)
-    if bound is not None and rets > max(bound, 0):
-        value: object = 0
-        method = "bound"
-        validity = "bound"
+    if _beyond_bound(cls, leaves, rets):
+        value, method, validity = 0, "bound", "bound"
     elif method == "auto":
-        try:
-            value, validity = _closed_count(cls, leaves, rets)
-            method = "closed"
-            if validity == "below-threshold":
-                raise UsageError("retry with series")
-        except UsageError:
-            if cls == "gn":
-                value, method, validity = _series_count(cls, leaves, rets, args.trunc_order), "series", "validated"
-            elif cls == "rv":
-                value, method, validity = _series_count(cls, leaves, rets, args.trunc_order), "dagsum", "validated"
-            else:
-                value, method, validity = _brute_count(cls, leaves, rets), "brute", "validated"
+        value, method, validity = _auto_count(cls, leaves, rets)
     elif method == "closed":
         value, validity = _closed_count(cls, leaves, rets)
     elif method in ("series", "dagsum"):
-        value = _series_count(cls, leaves, rets, args.trunc_order)
+        value = _series(cls, rets, leaves).count(leaves)
     elif method == "treesum":
         if cls != "gn":
-            raise UsageError("treesum counts per cell exist for the galled class only")
+            raise ValueError("treesum counts per cell exist for the galled class only")
         from phylocount import galled
 
         by_rets = galled.galled_tree_sum_by_rets(leaves)
         value = by_rets[rets] if rets < len(by_rets) else 0
-    elif method == "brute":
-        value = _brute_count(cls, leaves, rets)
     else:
-        raise UsageError(f"unsupported method {method!r}")
+        value = _brute_count(cls, leaves, rets)
     record = {
         "class": cls,
         "leaves": leaves,
@@ -234,7 +212,7 @@ def _cmd_count_total(args) -> int:
 
         value = retvis.rv_component_sum(leaves)
     else:
-        raise UsageError("totals via treesum exist for classes gn and rv")
+        raise ValueError("totals via treesum exist for classes gn and rv")
     record = {
         "class": cls,
         "leaves": leaves,
@@ -252,56 +230,39 @@ def _brute_count(cls: str, leaves: int, rets: int) -> int:
 
     field = "pn" if cls == "trees" else cls
     if field not in oracle.CLASS_PREDICATES:
-        raise UsageError(f"no exhaustive count for class {cls!r}")
+        raise ValueError(f"no exhaustive count for class {cls!r}")
     return getattr(oracle.count_by_class(leaves, rets), field)
 
 
-def _cmd_table(args) -> int:
+def _table_cell(cls: str, leaves: int, rets: int, lmax: int):
+    """One table cell: 0 beyond the bound, else the gn or rv series to order
+    lmax (one per column), a closed form, or the exhaustive oracle."""
     from phylocount import onecomp
 
+    if _beyond_bound(cls, leaves, rets):
+        return 0
+    if cls in SERIES_METHODS:
+        return _series(cls, rets, lmax).count(leaves)
+    if onecomp.has_closed_form(cls, rets):
+        return onecomp.closed_form(cls, leaves, rets)
+    return _brute_count(cls, leaves, rets)
+
+
+def _cmd_table(args) -> int:
     cls, lmax, kmax = args.cls, args.lmax, args.kmax
     if lmax < 1 or kmax < 0:
-        raise UsageError("need --lmax >= 1 and --kmax >= 0")
+        raise ValueError("need --lmax >= 1 and --kmax >= 0")
     if cls == "trees" and kmax != 0:
-        raise UsageError("trees support --kmax 0 only")
-    columns = list(range(kmax + 1))
-    rv_columns = {}  # k -> rv series to order lmax, shared by every row
-    rows = []
-    for l in range(1, lmax + 1):
-        row = []
-        for k in columns:
-            bound = _bound_for(cls, l)
-            if bound is not None and k > max(bound, 0):
-                row.append(0)
-            elif cls == "trees":
-                row.append(onecomp.tree_count(l))
-            elif cls == "onecomp":
-                row.append(onecomp.one_component_count(l, k))
-            elif cls == "gn":
-                row.append(_series_count(cls, l, k, lmax))
-            elif cls == "rv":
-                if k not in rv_columns:
-                    rv_columns[k] = _rv_series(k, lmax)
-                row.append(rv_columns[k].count(l))
-            elif k == 0:
-                row.append(onecomp.tree_count(l))
-            elif k == 1 and cls in ("pn", "tc"):
-                row.append(onecomp.single_reticulation_count(l))
-            elif cls == "normal" and k == 2:
-                row.append(onecomp.normal_two_reticulation_count(l))
-            else:
-                row.append(_brute_count(cls, l, k))
-        rows.append(row)
+        raise ValueError("trees support --kmax 0 only")
+    columns = range(kmax + 1)
+    rows = {l: [_table_cell(cls, l, k, lmax) for k in columns] for l in range(1, lmax + 1)}
     if args.format == "csv":
         lines = ["leaves," + ",".join(f"k={k}" for k in columns)]
-        for l, row in zip(range(1, lmax + 1), rows):
-            lines.append(str(l) + "," + ",".join(str(v) for v in row))
+        lines += [str(l) + "," + ",".join(str(v) for v in row) for l, row in rows.items()]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(
-            {"class": cls, "rows": {str(l): [str(v) for v in row] for l, row in zip(range(1, lmax + 1), rows)}},
-            sort_keys=True,
-        ) + "\n"
+        doc = {"class": cls, "rows": {str(l): [str(v) for v in row] for l, row in rows.items()}}
+        text = json.dumps(doc, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
@@ -313,7 +274,7 @@ def _cmd_blocks(args) -> int:
     from phylocount import onecomp
 
     if args.lmax < 1 or args.kmax < 0:
-        raise UsageError("need --lmax >= 1 and --kmax >= 0")
+        raise ValueError("need --lmax >= 1 and --kmax >= 0")
     text = onecomp.block_table_csv(args.lmax, args.kmax)
     if args.out:
         args.out.write_text(text)
@@ -341,13 +302,13 @@ def _cmd_asympt(args) -> int:
 
     cls, rets = args.cls, args.rets
     if rets < 0:
-        raise UsageError("--rets must be >= 0")
+        raise ValueError("--rets must be >= 0")
     if rets > 3:
-        raise UsageError("asymptotic comparison supports rets <= 3")
+        raise ValueError("asymptotic comparison supports rets <= 3")
     try:
         leaf_list = [int(part) for part in args.leaves.split(",")]
     except ValueError:
-        raise UsageError("--leaves must be a comma-separated list of integers")
+        raise ValueError("--leaves must be a comma-separated list of integers")
     counts = [_asympt_count(cls, leaves, rets) for leaves in leaf_list]
     for leaves, count in zip(leaf_list, counts):
         mantissa, exponent = galled.asymptotic_main_term(leaves, rets)
@@ -370,27 +331,21 @@ def _cmd_asympt(args) -> int:
 
 
 def _asympt_count(cls: str, leaves: int, rets: int) -> int:
-    """Exact count behind one asympt row: a positive integer from a formula
-    validated at this cell, or a usage error."""
-    from phylocount import onecomp
-
+    """Exact count behind one asympt row: a positive integer from a closed
+    form validated at this cell, or a usage error."""
     if leaves < 1:
-        raise UsageError("--leaves values must be >= 1")
-    if rets > _bound_for(cls, leaves):
-        raise UsageError(
+        raise ValueError("--leaves values must be >= 1")
+    if _beyond_bound(cls, leaves, rets):
+        raise ValueError(
             f"no {cls} networks with {leaves} leaves and {rets} reticulations; "
             "the ratio needs a positive count"
         )
-    if rets == 0:
-        return onecomp.tree_count(leaves)
-    if rets == 1:
-        return onecomp.single_reticulation_count(leaves)
-    threshold = _threshold(cls, rets)
-    if leaves < threshold:
-        raise UsageError(
-            f"the {cls} closed form for rets={rets} is validated for leaves >= {threshold}"
+    value, validity = _closed_count(cls, leaves, rets)
+    if validity != "validated":
+        raise ValueError(
+            f"the {cls} closed form for rets={rets} is validated for leaves >= {_threshold(cls, rets)}"
         )
-    return onecomp.closed_form(cls, leaves, rets)
+    return value
 
 
 def _cmd_enumerate(args) -> int:

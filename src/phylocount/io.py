@@ -61,7 +61,7 @@ def network_from_json(text: str) -> Network:
     for v, w in edges:
         children[_vertex_index(v, n, "edge source")].append(_require_int(w, "edge target"))
     labels = {
-        _vertex_index(v.get("id"), n, "vertex id"): v["label"]
+        _vertex_index(v.get("id"), n, "vertex id"): _require_int(v["label"], "label")
         for v in vertices
         if "label" in v
     }
@@ -142,10 +142,6 @@ def pattern_doc(pattern: DagPattern, symmetry: int | None = None) -> dict:
     if symmetry is not None:
         doc["symmetries"] = symmetry
     return doc
-
-
-def pattern_to_json(pattern: DagPattern, symmetry: int | None = None) -> str:
-    return json.dumps(pattern_doc(pattern, symmetry), sort_keys=True, separators=(",", ":"))
 
 
 def pattern_to_dot(pattern: DagPattern, symmetry: int | None = None, name: str = "pattern") -> str:

@@ -9,6 +9,7 @@ Every multi-component count in the package is assembled from these blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -189,19 +190,49 @@ CLOSED_FORMS = {
     # pattern sum
     ("rv", 3): (((6, 6, -52, -8, 33, 20, 4), 3), ((-168, -106, 135, 175, 48), 3), 4, 0),
 }
+# the classes that one reticulation leaves indistinguishable
+SINGLE_RETICULATION_CLASSES = ("pn", "rv", "gn", "tc")
+
+
+def _form(cls: str, rets: int):
+    """The closed form of (cls, rets) as a function of the leaf count, or
+    None where the package has none."""
+    if cls == "onecomp":
+        return functools.partial(one_component_count, rets=rets)
+    if rets == 0 and cls in SINGLE_RETICULATION_CLASSES + ("normal", "trees"):
+        return tree_count
+    if rets == 1 and cls in SINGLE_RETICULATION_CLASSES:
+        return single_reticulation_count
+    if (cls, rets) == ("normal", 2):
+        return normal_two_reticulation_count
+    if (cls, rets) in CLOSED_FORMS:
+        return functools.partial(_table_form, CLOSED_FORMS[cls, rets])
+    return None
+
+
+def has_closed_form(cls: str, rets: int) -> bool:
+    return _form(cls, rets) is not None
 
 
 def closed_form(cls: str, leaves: int, rets: int):
-    """The closed form of class `cls` ("gn" or "rv") with rets in {2, 3}.
+    """Every closed-form count the package has: one-component networks, trees
+    (rets 0), the count shared at one reticulation (pn, rv, gn, tc), normal
+    networks with two reticulations and the :data:`CLOSED_FORMS` rows.
 
-    Returns an exact value: an int, or a Fraction at points off the
-    validated range where the expression is not integral.
+    Returns an exact value: an int, or a Fraction where a :data:`CLOSED_FORMS`
+    row is evaluated off its validated range and is not integral.  Raises
+    `ValueError` for a (class, rets) without a closed form.
     """
     if leaves < 1:
         raise ValueError("leaves must be >= 1")
-    if (cls, rets) not in CLOSED_FORMS:
+    form = _form(cls, rets)
+    if form is None:
         raise ValueError(f"no closed form for class {cls!r} at rets={rets}")
-    (a, a_den), (b, b_den), s, f = CLOSED_FORMS[cls, rets]
+    return form(leaves)
+
+
+def _table_form(row, leaves: int):
+    (a, a_den), (b, b_den), s, f = row
     l = leaves
     main = Fraction(sum(c * l**i for i, c in enumerate(a)), a_den) * double_factorial(2 * l - 3)
     tail = Fraction(sum(c * l**i for i, c in enumerate(b)), b_den) * math.factorial(l + f)

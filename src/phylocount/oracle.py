@@ -414,35 +414,20 @@ def find_parent(net: Network, v: int) -> int:
 
 
 def max_reticulation_summary(leaves: int) -> dict[str, int]:
-    """Saturation analysis by exhaustion (leaves == 2) or decompression
-    (leaves == 3): the largest feasible reticulation count for the visible
-    class and the count at the maximum against the tree-child count."""
-    if leaves == 2:
-        max_k = 0
-        count_at_max = 0
-        for k in range(0, (VERTEX_BUDGET - 2 * leaves) // 2 + 1):
-            rv = count_by_class(leaves, k).rv
-            if rv > 0:
-                max_k, count_at_max = k, rv
-        tc_max = count_by_class(leaves, leaves - 1).tc
-        return {"max_rets": max_k, "count_at_max": count_at_max, "tc_max_count": tc_max}
-    if leaves == 3:
-        images = []
-        for net in enumerate_networks(3, 2):
-            if is_tree_child(net):
-                images.append(decompress_max_reticulated(net))
-        codes = {canonical_code(img) for img in images}
-        if len(codes) != len(images):
-            raise AssertionError("decompression is not injective")
-        for img in images:
-            if not is_reticulation_visible(img):
-                raise AssertionError("decompression left the visible class")
-        return {
-            "max_rets": 3 * leaves - 3,
-            "count_at_max": len(images),
-            "tc_max_count": len(images),
-        }
-    raise ValueError("saturation summary supports leaves in {2, 3}")
+    """Saturation analysis by exhaustion at two leaves: the largest feasible
+    reticulation count for the visible class and the count at the maximum
+    against the tree-child count.  (At three leaves the decompression
+    bijection gives the saturated count; `verify` checks it there.)"""
+    if leaves != 2:
+        raise ValueError("saturation summary supports leaves == 2")
+    max_k = 0
+    count_at_max = 0
+    for k in range(0, (VERTEX_BUDGET - 2 * leaves) // 2 + 1):
+        rv = count_by_class(leaves, k).rv
+        if rv > 0:
+            max_k, count_at_max = k, rv
+    tc_max = count_by_class(leaves, leaves - 1).tc
+    return {"max_rets": max_k, "count_at_max": count_at_max, "tc_max_count": tc_max}
 
 
 def airy_first_root() -> float:

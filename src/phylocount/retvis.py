@@ -107,6 +107,7 @@ def pattern_sum_egf(rets: int, order: int) -> Egf:
     return total
 
 
+@functools.cache
 def rv_egf(rets: int, order: int) -> Egf:
     """EGF of reticulation-visible networks with exactly `rets` reticulations.
 
@@ -175,11 +176,11 @@ def rv_closed_form(leaves: int, rets: int):
 
 
 @functools.cache
-def closed_form_threshold(rets: int, scan_to: int = 40) -> int:
+def closed_form_threshold(rets: int) -> int:
     """Validated range start for the closed form, discovered against the
-    catalog's pattern sum and cached per (rets, scan_to)."""
-    series = pattern_sum_egf(rets, scan_to)
-    return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, scan_to)
+    catalog's pattern sum through l = 40 and cached per rets."""
+    series = pattern_sum_egf(rets, 40)
+    return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, 40)
 
 
 def vanishing_certificate(rets: int, leaves: int) -> bool:

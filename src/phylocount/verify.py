@@ -116,9 +116,7 @@ def _blocks_nonnegative():
 
 def _block_polynomials():
     for k in range(1, 7):
-        coeffs = onecomp.block_polynomial(k)
-        if len(coeffs) - 1 != 2 * k or coeffs[-1] != 2**k:
-            return False
+        onecomp.block_polynomial(k)  # raises unless of degree 2k with leading coefficient 2^k
     return True
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,10 +41,11 @@ def test_count_trees(capsys):
 
 
 def test_count_beyond_bound_flags_bound(capsys):
-    code, out = run_cli(capsys, "count", "--class", "rv", "--leaves", "1", "--rets", "5")
-    assert code == 0
-    record = json.loads(out)
-    assert record["value"] == "0" and record["validity"] == "bound"
+    for cls, leaves, rets in (("rv", 1, 5), ("gn", 1, 1), ("tc", 3, 3), ("normal", 2, 1)):
+        code, out = run_cli(capsys, "count", "--class", cls, "--leaves", str(leaves), "--rets", str(rets))
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == "0" and record["method"] == record["validity"] == "bound"
 
 
 def test_count_brute_matches_series(capsys):
@@ -131,6 +133,86 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
     assert lines[-1] == "3/4 checks passed"
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+# the two 12-vertex oracle cells take about 2 s between them
+REPLAY_SKIPPED = {
+    "count --class pn --leaves 2 --rets 4 --method brute",
+    "count --class tc --leaves 5 --rets 1 --method brute",
+}
+
+
+def test_count_and_table_replay_the_pinned_reference(capsys):
+    """Every `count` and `table` call of the benchmark reference prints the
+    pinned bytes."""
+    entries = json.loads(REFERENCE.read_text())["entries"]
+    wrong = []
+    for key, entry in entries.items():
+        if key.split()[0] not in ("count", "table") or key in REPLAY_SKIPPED:
+            continue
+        code, out = run_cli(capsys, *key.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != entry["stdout_sha256"]:
+            wrong.append(key)
+    assert REPLAY_SKIPPED <= entries.keys() and not wrong, wrong
+
+
+@pytest.mark.parametrize("cls", ["gn", "rv"])
+@pytest.mark.parametrize("rets", [0, 2, 3])
+def test_asympt_counts_are_the_closed_counts(capsys, cls, rets):
+    leaves = [3, 7, 30]
+    code, out = run_cli(capsys, "asympt", "--class", cls, "--rets", str(rets), "--leaves", "3,7,30")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["leaves"] for row in rows] == leaves
+    for row, l in zip(rows, leaves):
+        code, out = run_cli(
+            capsys, "count", "--class", cls, "--leaves", str(l), "--rets", str(rets), "--method", "closed"
+        )
+        closed = json.loads(out)
+        assert code == 0 and closed["validity"] == "validated"
+        assert row["count"] == closed["value"]
+
+
+@pytest.mark.parametrize(
+    "cls, lmax, kmax",
+    [("gn", 6, 3), ("rv", 5, 3), ("tc", 3, 2), ("normal", 4, 2), ("onecomp", 5, 3), ("trees", 4, 0)],
+)
+def test_table_json_holds_the_csv_cells(capsys, cls, lmax, kmax):
+    args = ["table", "--class", cls, "--lmax", str(lmax), "--kmax", str(kmax)]
+    _, csv_out = run_cli(capsys, *args)
+    code, json_out = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    assert header == "leaves," + ",".join(f"k={k}" for k in range(kmax + 1))
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines}
+    assert json_out == json.dumps({"class": cls, "rows": rows}, sort_keys=True) + "\n"
+
+
+def test_count_normal_two_reticulations(capsys):
+    from phylocount.onecomp import normal_two_reticulation_count
+
+    for leaves in (4, 5, 9):
+        code, out = run_cli(capsys, "count", "--class", "normal", "--leaves", str(leaves), "--rets", "2")
+        record = json.loads(out)
+        assert code == 0 and (record["method"], record["validity"]) == ("closed", "validated")
+        assert record["value"] == str(normal_two_reticulation_count(leaves))
+    # below four leaves two reticulations exceed the class bound leaves - 2
+    code, out = run_cli(capsys, "count", "--class", "normal", "--leaves", "3", "--rets", "2")
+    assert json.loads(out)["method"] == "bound"
+
+
+@pytest.mark.parametrize("leaves", range(1, 6))
+def test_count_treesum_cells_equal_the_series(capsys, leaves):
+    for rets in range(0, 2 * leaves):
+        values = []
+        for method in ("treesum", "series"):
+            code, out = run_cli(
+                capsys, "count", "--class", "gn", "--leaves", str(leaves), "--rets", str(rets), "--method", method
+            )
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[0] == values[1], (rets, values)
+
+
 def test_asympt_output(capsys):
     code, out = run_cli(capsys, "asympt", "--class", "gn", "--rets", "1", "--leaves", "50,100")
     assert code == 0
@@ -145,7 +227,6 @@ def test_asympt_output(capsys):
         "asympt --class rv --rets 3 --leaves 1",
         "asympt --class gn --rets -1 --leaves 5",
         "asympt --class gn --rets 3 --leaves 1",
-        "count --class gn --leaves 5 --rets 2 --trunc-order -3",
         "count --class rv --leaves 5 --rets 8 --method dagsum",
         "count --class rv --leaves 5 --rets 8 --method series",
         "count --class rv --leaves 4 --method treesum",
@@ -264,11 +345,14 @@ def test_json_round_trip_via_io():
         (lambda doc: doc.update(root="0"), "root '0' is not an integer"),
         (lambda doc: doc["edges"].append([1, "5"]), "edge target '5' is not an integer"),
         (lambda doc: doc["edges"].__setitem__(0, [False, True]), "edge source False is not an integer"),
+        (lambda doc: doc["vertices"][-1].update(label=True), "label True is not an integer"),
+        (lambda doc: doc["vertices"][-1].update(label="a"), "label 'a' is not an integer"),
     ],
     ids=[
         "edge-source-out-of-range", "vertex-id-out-of-range", "no-root", "no-vertices", "no-edges",
         "edge-not-a-pair", "vertex-not-an-object", "vertices-not-a-list", "root-not-an-integer",
-        "edge-target-not-an-integer", "edge-given-as-booleans",
+        "edge-target-not-an-integer", "edge-given-as-booleans", "label-given-as-boolean",
+        "label-not-an-integer",
     ],
 )
 def test_malformed_network_json_is_a_value_error(change, message):

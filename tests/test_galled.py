@@ -174,22 +174,3 @@ def test_galled_egf_cache_counts_hits():
     assert galled_egf(2, 17) is galled_egf(2, 17)
     after = galled_egf.cache_info()
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-
-
-@pytest.fixture
-def fresh_thresholds():
-    closed_form_threshold.cache_clear()
-    yield
-    closed_form_threshold.cache_clear()  # drop entries computed under a patch
-
-
-def test_threshold_cache_is_keyed_on_the_scan_range(fresh_thresholds, monkeypatch):
-    import phylocount.galled as gl
-
-    assert closed_form_threshold(3, scan_to=3) == 2
-
-    def wrong_at_50(l, k):
-        return galled_closed_form(l, k) + (l == 50)
-
-    monkeypatch.setattr(gl, "galled_closed_form", wrong_at_50)
-    assert closed_form_threshold(3, scan_to=60) == 51

@@ -16,6 +16,8 @@ from phylocount.onecomp import (
     block_shift_egf,
     block_sqrt_form,
     block_table_csv,
+    closed_form,
+    has_closed_form,
     normal_two_reticulation_count,
     one_component_count,
     shift_sqrt_form,
@@ -117,6 +119,21 @@ def test_baseline_record():
         "one_reticulation": 21,
         "normal_two_reticulations": 0,
     }
+
+
+def test_closed_form_answers_every_form_and_only_those():
+    for l in range(1, 12):
+        assert closed_form("trees", l, 0) == closed_form("normal", l, 0) == tree_count(l)
+        assert closed_form("onecomp", l, 2) == one_component_count(l, 2)
+        shared = {closed_form(cls, l, 1) for cls in ("pn", "rv", "gn", "tc")}
+        assert shared == {single_reticulation_count(l)}
+        assert closed_form("normal", l, 2) == normal_two_reticulation_count(l)
+    for cls, rets in (("pn", 2), ("tc", 2), ("normal", 1), ("normal", 3), ("gn", 4), ("rv", 4), ("trees", 1)):
+        assert not has_closed_form(cls, rets)
+        with pytest.raises(ValueError, match=f"no closed form for class '{cls}' at rets={rets}"):
+            closed_form(cls, 5, rets)
+    with pytest.raises(ValueError, match="leaves must be >= 1"):
+        closed_form("gn", 0, 2)
 
 
 def test_block_counts_safe_under_concurrent_calls():

@@ -195,9 +195,6 @@ def test_max_reticulation_summary():
         "count_at_max": 2,
         "tc_max_count": 2,
     }
-    summary3 = max_reticulation_summary(3)
-    assert summary3["max_rets"] == 6
-    assert summary3["count_at_max"] == summary3["tc_max_count"] == 42
 
 
 def test_airy_root():

@@ -278,16 +278,9 @@ def test_weighted_totals_are_integral():
             rv_count(l, k)
 
 
-@pytest.fixture
-def fresh_thresholds():
-    closed_form_threshold.cache_clear()
-    yield
-    closed_form_threshold.cache_clear()  # drop entries computed under a patch
-
-
-def test_threshold_cache_is_keyed_on_the_scan_range(fresh_thresholds, monkeypatch):
-    import phylocount.retvis as rv
-
-    assert closed_form_threshold(3, scan_to=3) == 2
-    monkeypatch.setattr(rv, "rv_closed_form", lambda l, k: rv_closed_form(l, k) + (l == 50))
-    assert closed_form_threshold(3, scan_to=60) == 51
+def test_rv_egf_cache_counts_hits():
+    rv_egf(2, 13)
+    before = rv_egf.cache_info()
+    assert rv_egf(2, 13) is rv_egf(2, 13)
+    after = rv_egf.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
