@@ -159,17 +159,16 @@ def _cmd_count(args) -> int:
     cls, leaves, rets, method = args.cls, args.leaves, args.rets, args.method
     if leaves < 1:
         raise ValueError("--leaves must be >= 1")
-    if rets is None:
-        if cls == "trees":
-            rets = 0
-        elif method == "treesum":
-            return _cmd_count_total(args)
-        else:
-            raise ValueError("--rets is required (or use --method treesum for totals)")
-    if rets < 0:
-        raise ValueError("--rets must be >= 0")
+    if rets is None and cls == "trees":
+        rets = 0
     validity = "validated"
-    if _beyond_bound(cls, leaves, rets):
+    if rets is None:
+        if method != "treesum":
+            raise ValueError("--rets is required (or use --method treesum for totals)")
+        value, rets = _treesum_total(cls, leaves), "all"
+    elif rets < 0:
+        raise ValueError("--rets must be >= 0")
+    elif _beyond_bound(cls, leaves, rets):
         value, method, validity = 0, "bound", "bound"
     elif method == "auto":
         value, method, validity = _auto_count(cls, leaves, rets)
@@ -201,28 +200,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_count_total(args) -> int:
-    cls, leaves = args.cls, args.leaves
+def _treesum_total(cls: str, leaves: int) -> int:
+    """The count over every reticulation count, by the gn tree sum or the rv
+    component-graph sum."""
     if cls == "gn":
         from phylocount import galled
 
-        value = galled.galled_tree_sum(leaves)
-    elif cls == "rv":
+        return galled.galled_tree_sum(leaves)
+    if cls == "rv":
         from phylocount import retvis
 
-        value = retvis.rv_component_sum(leaves)
-    else:
-        raise ValueError("totals via treesum exist for classes gn and rv")
-    record = {
-        "class": cls,
-        "leaves": leaves,
-        "rets": "all",
-        "method": "treesum",
-        "value": str(value),
-        "validity": "validated",
-    }
-    print(json.dumps(record, sort_keys=True))
-    return 0
+        return retvis.rv_component_sum(leaves)
+    raise ValueError("totals via treesum exist for classes gn and rv")
 
 
 def _brute_count(cls: str, leaves: int, rets: int) -> int:
@@ -351,10 +340,12 @@ def _asympt_count(cls: str, leaves: int, rets: int) -> int:
 def _cmd_enumerate(args) -> int:
     from phylocount import io, oracle
 
-    job = oracle.EnumerationJob(args.leaves, args.rets, args.cls)
+    oracle.check_cell(args.leaves, args.rets)
+    if args.cls is not None and args.cls not in oracle.CLASS_PREDICATES:
+        raise ValueError(f"unknown class {args.cls!r}")
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    predicate = oracle.CLASS_PREDICATES[job.class_filter] if job.class_filter else None
+    predicate = oracle.CLASS_PREDICATES[args.cls] if args.cls else None
     kept = 0
     for index, net in enumerate(oracle.enumerate_networks(args.leaves, args.rets)):
         if predicate is not None and not predicate(net):

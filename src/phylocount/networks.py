@@ -97,11 +97,6 @@ class Network(Record):
     def edges(self) -> list[tuple[int, int]]:
         return [(v, w) for v in range(self.n) for w in self.children[v]]
 
-    def kind(self, v: int) -> VertexKind:
-        indeg = self.indegrees()[v]
-        outdeg = len(self.children[v])
-        return _classify(indeg, outdeg)
-
     def kinds(self) -> list[VertexKind]:
         indeg = self.indegrees()
         return [_classify(indeg[v], len(self.children[v])) for v in range(self.n)]
@@ -492,10 +487,6 @@ def _topo_order(net: Network, indeg: list[int]) -> list[int]:
     if len(order) != net.n:
         raise ValueError("graph is not acyclic")
     return order
-
-
-def isomorphic(a: Network, b: Network) -> bool:
-    return canonical_code(a) == canonical_code(b)
 
 
 def all_leaf_relabelings(net: Network) -> list[Network]:

@@ -240,16 +240,6 @@ def _table_form(row, leaves: int):
     return value.numerator if value.denominator == 1 else value
 
 
-def baseline_counts(leaves: int) -> dict[str, int]:
-    """The baseline closed-form counts: trees, the shared one-reticulation
-    count, and normal networks with two reticulations."""
-    return {
-        "trees": tree_count(leaves),
-        "one_reticulation": single_reticulation_count(leaves),
-        "normal_two_reticulations": normal_two_reticulation_count(leaves),
-    }
-
-
 def block_table_csv(lmax: int, kmax: int) -> str:
     """CSV of block counts, rows l = 1..lmax, columns k = 0..kmax."""
     block_count(lmax, min(lmax, kmax))  # fill the table once, from its far corner

@@ -30,28 +30,6 @@ from phylocount.records import Record
 VERTEX_BUDGET = 14
 
 
-class EnumerationJob(Record):
-    __slots__ = _fields = ("leaves", "rets", "class_filter")
-    leaves: int
-    rets: int
-    class_filter: str | None
-
-    def __init__(self, leaves: int, rets: int, class_filter: str | None = None):
-        self._set(leaves, rets, class_filter)
-        if leaves < 1 or rets < 0:
-            raise ValueError("need leaves >= 1 and rets >= 0")
-        if self.vertex_budget > VERTEX_BUDGET:
-            raise ValueError(
-                f"job needs {self.vertex_budget} vertices, budget is {VERTEX_BUDGET}"
-            )
-        if class_filter is not None and class_filter not in CLASS_PREDICATES:
-            raise ValueError(f"unknown class {class_filter!r}")
-
-    @property
-    def vertex_budget(self) -> int:
-        return 2 * self.leaves + 2 * self.rets
-
-
 CLASS_PREDICATES = {
     "pn": is_valid,
     "rv": is_reticulation_visible,
@@ -61,6 +39,16 @@ CLASS_PREDICATES = {
 }
 
 
+def check_cell(leaves: int, rets: int) -> None:
+    """Raise ValueError unless the enumerator can reach the (leaves, rets)
+    cell: leaves >= 1, rets >= 0 and 2 leaves + 2 rets <= VERTEX_BUDGET."""
+    if leaves < 1 or rets < 0:
+        raise ValueError("need leaves >= 1 and rets >= 0")
+    n = 2 * leaves + 2 * rets
+    if n > VERTEX_BUDGET:
+        raise ValueError(f"job needs {n} vertices, budget is {VERTEX_BUDGET}")
+
+
 def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     """Every leaf-labeled binary network with the given counts, exactly once.
 
@@ -68,9 +56,9 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     the two child slots of a tree vertex removes most duplicate derivations
     and canonical codes remove the rest.
     """
-    job = EnumerationJob(leaves, rets)
+    check_cell(leaves, rets)
     t = leaves + rets - 1  # tree vertices
-    n = job.vertex_budget
+    n = 2 * leaves + 2 * rets
     first_ret = t + 1
     first_leaf = t + rets + 1
 
@@ -225,9 +213,11 @@ def reticulation_capacity(children: Sequence[Sequence[int]] | Network, root: int
         kids = [tuple(c) for c in children]
     n = len(kids)
     indeg = [0] * n
+    parent = [0] * n  # the parent of each indegree-1 vertex
     for v in range(n):
         for w in kids[v]:
             indeg[w] += 1
+            parent[w] = v
     def pure_ret(v: int) -> bool:
         return indeg[v] == 2 and len(kids[v]) == 1
     capacity = 0
@@ -241,14 +231,12 @@ def reticulation_capacity(children: Sequence[Sequence[int]] | Network, root: int
         stack.extend(kids[v])
     for v in sorted(reachable):
         if not kids[v]:  # leaf
-            parent = next(p for p in reachable if v in kids[p])
-            if not pure_ret(parent):
+            if not pure_ret(parent[v]):
                 capacity += 1  # arrow-eligible pendant edge
         elif indeg[v] == 2:
             capacity += 1  # one reticulation per indegree-2 vertex
         elif v != root:
-            parent = next(p for p in reachable if v in kids[p])
-            if not pure_ret(parent):
+            if not pure_ret(parent[v]):
                 capacity += 1  # internal vertex entered by an arrowed edge
     return capacity
 
@@ -350,6 +338,7 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     edges as doubles, turn tree-parented leaves into labeled terminal
     vertices and keep reticulation-parented leaves attached."""
     indeg = tc.indegrees()
+    parents = tc.parents()
     top = tc.children[tc.root][0]
     rep = {}
 
@@ -367,7 +356,7 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
         v for v in range(tc.n) if v != tc.root and not tc.leaf_labels[v]
     ]
     terminal_leaves = [
-        v for v in range(tc.n) if tc.leaf_labels[v] and indeg[find_parent(tc, v)] != 2
+        v for v in range(tc.n) if tc.leaf_labels[v] and indeg[parents[v][0]] != 2
     ]
     components = {find(v) for v in internal + [top]}
     comp_ids = {}
@@ -382,21 +371,18 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     terminal = [0] * n
     for leaf in terminal_leaves:
         terminal[comp_ids[leaf]] = tc.leaf_labels[leaf]
-        parent = find_parent(tc, leaf)
-        edges.append((comp_ids[find(parent)], comp_ids[leaf], True))
+        edges.append((comp_ids[find(parents[leaf][0])], comp_ids[leaf], True))
     for v in range(tc.n):
         if tc.leaf_labels[v] and v not in terminal_leaves:
-            attached[comp_ids[find(find_parent(tc, v))]].append(tc.leaf_labels[v])
+            attached[comp_ids[find(parents[v][0])]].append(tc.leaf_labels[v])
     for w in range(tc.n):
         if indeg[w] == 2:
-            parents = [p for p in range(tc.n) if w in tc.children[p]]
-            edges.append((comp_ids[find(parents[0])], comp_ids[find(w)], False))
-            edges.append((comp_ids[find(parents[1])], comp_ids[find(w)], False))
+            for parent in parents[w]:
+                edges.append((comp_ids[find(parent)], comp_ids[find(w)], False))
         elif w != tc.root and not tc.leaf_labels[w] and len(tc.children[w]) == 2:
-            parent = find_parent(tc, w)
-            if indeg[parent] != 2 or parent == tc.root:
-                if parent != tc.root:
-                    edges.append((comp_ids[find(parent)], comp_ids[find(w)], True))
+            parent = parents[w][0]
+            if parent != tc.root and indeg[parent] != 2:
+                edges.append((comp_ids[find(parent)], comp_ids[find(w)], True))
     return ComponentGraph(
         n=n,
         root=0,
@@ -406,23 +392,17 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     )
 
 
-def find_parent(net: Network, v: int) -> int:
-    for p in range(net.n):
-        if v in net.children[p]:
-            return p
-    raise ValueError(f"vertex {v} has no parent")
-
-
-def max_reticulation_summary(leaves: int) -> dict[str, int]:
+def max_reticulation_summary() -> dict[str, int]:
     """Saturation analysis by exhaustion at two leaves: the largest feasible
     reticulation count for the visible class and the count at the maximum
-    against the tree-child count.  (At three leaves the decompression
-    bijection gives the saturated count; `verify` checks it there.)"""
-    if leaves != 2:
-        raise ValueError("saturation summary supports leaves == 2")
+    against the tree-child count.  The scan runs through k = 3l - 2 = 4, the
+    first count the proven bound 3l - 3 excludes.  (At three leaves the
+    decompression bijection gives the saturated count; `verify` checks it
+    there.)"""
+    leaves = 2
     max_k = 0
     count_at_max = 0
-    for k in range(0, (VERTEX_BUDGET - 2 * leaves) // 2 + 1):
+    for k in range(3 * leaves - 1):
         rv = count_by_class(leaves, k).rv
         if rv > 0:
             max_k, count_at_max = k, rv

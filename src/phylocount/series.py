@@ -143,16 +143,21 @@ def validated_from(agrees: Callable[[int], bool], lo: int, hi: int) -> int:
     return n + 1
 
 
-def formula_threshold(d: int, n_max: int = 60) -> int:
+# the exponents d and the last coefficient n the formula thresholds cover
+FORMULA_EXPONENTS = range(-9, 10)
+FORMULA_N_MAX = 60
+
+
+def formula_threshold(d: int) -> int:
     """Smallest n0 such that the four-case formula agrees with the exact
-    coefficient of z^n in (1-2z)^(d/2) for every n in [n0, n_max]."""
-    exact = sqrt_pow_coeffs(d, n_max)
-    return validated_from(lambda n: sqrt_pow_coeff_formula(d, n) == exact[n], 0, n_max)
+    coefficient of z^n in (1-2z)^(d/2) for every n in [n0, FORMULA_N_MAX]."""
+    exact = sqrt_pow_coeffs(d, FORMULA_N_MAX)
+    return validated_from(lambda n: sqrt_pow_coeff_formula(d, n) == exact[n], 0, FORMULA_N_MAX)
 
 
-def formula_threshold_table(d_min: int = -9, d_max: int = 9, n_max: int = 60) -> dict[int, int]:
-    """Validity thresholds of the coefficient formula for d in [d_min, d_max]."""
-    return {d: formula_threshold(d, n_max) for d in range(d_min, d_max + 1)}
+def formula_threshold_table() -> dict[int, int]:
+    """Validity thresholds of the coefficient formula for each d in FORMULA_EXPONENTS."""
+    return {d: formula_threshold(d) for d in FORMULA_EXPONENTS}
 
 
 def _as_fraction(value) -> Fraction:
@@ -203,10 +208,6 @@ class Egf(Record):
         egf = object.__new__(Egf)
         egf._set(nums, den)
         return egf
-
-    @staticmethod
-    def from_coeffs(values: Iterable) -> "Egf":
-        return Egf(tuple(values))
 
     @staticmethod
     def from_counts(counts: Sequence[int]) -> "Egf":

@@ -57,7 +57,7 @@ def run_suite(name: str) -> list[CheckResult]:
 
 @functools.cache
 def _formula_thresholds() -> dict[int, int]:
-    return series.formula_threshold_table(-9, 9, 60)
+    return series.formula_threshold_table()
 
 
 def _formula_threshold_bound():
@@ -70,7 +70,7 @@ def _formula_matches_extraction():
     return all(
         series.sqrt_pow_coeff_formula(d, n) == series.sqrt_pow_coeff(d, n)
         for d, n0 in _formula_thresholds().items()
-        for n in range(n0, 61)
+        for n in range(n0, series.FORMULA_N_MAX + 1)
     )
 
 
@@ -359,7 +359,7 @@ def _enumerated_networks():
 
 
 def _saturation():
-    summary = oracle.max_reticulation_summary(2)
+    summary = oracle.max_reticulation_summary()
     return summary == {"max_rets": 3, "count_at_max": 2, "tc_max_count": 2}, str(summary)
 
 

@@ -40,6 +40,15 @@ def test_count_trees(capsys):
     assert "945" in out
 
 
+def test_count_treesum_total_honours_the_format(capsys):
+    argv = ("count", "--class", "gn", "--leaves", "3", "--method", "treesum")
+    assert run_cli(capsys, *argv, "--format", "text") == (0, "gn(3,all) = 240  [treesum, validated]\n")
+    assert run_cli(capsys, *argv) == (
+        0,
+        '{"class": "gn", "leaves": 3, "method": "treesum", "rets": "all", "validity": "validated", "value": "240"}\n',
+    )
+
+
 def test_count_beyond_bound_flags_bound(capsys):
     for cls, leaves, rets in (("rv", 1, 5), ("gn", 1, 1), ("tc", 3, 3), ("normal", 2, 1)):
         code, out = run_cli(capsys, "count", "--class", cls, "--leaves", str(leaves), "--rets", str(rets))
@@ -240,16 +249,29 @@ def test_asympt_output(capsys):
         "blocks --lmax 3 --kmax 1 --out {missing}/x.csv",
         "enumerate --leaves 2 --rets 1 --out {file}",
         "patterns --m 3 --dot {file}",
+        # cells and ranges out of bounds
+        "count --class gn --leaves 0 --rets 1",
+        "count --class gn --leaves 3 --rets -1",
+        "table --class gn --lmax 0 --kmax 1",
+        "table --class trees --lmax 3 --kmax 1",
+        "blocks --lmax 0 --kmax 1",
+        "asympt --class gn --rets 4 --leaves 5",
+        "asympt --class gn --rets 2 --leaves 3,x",
+        "asympt --class gn --rets 2 --leaves 0",
+        "enumerate --leaves 0 --rets 1 --out {missing}",
+        "enumerate --leaves 4 --rets 4 --class gn --out {missing}",
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     existing = tmp_path / "file"
     existing.write_text("")
-    assert main(argv.format(missing=tmp_path / "missing", file=existing).split()) == 2
+    missing = tmp_path / "missing"
+    assert main(argv.format(missing=missing, file=existing).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert not missing.exists()  # arguments are checked before any output is made
 
 
 def test_enumerate_writes_files(tmp_path, capsys):
@@ -279,6 +301,9 @@ def test_enumerate_with_class_filter(tmp_path, capsys):
 
 def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert main(["enumerate", "--leaves", "5", "--rets", "4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: job needs 18 vertices, budget is 14\n"
+    assert main(["enumerate", "--leaves", "2", "--rets", "1", "--class", "xyz", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown class 'xyz'\n"
 
 
 def test_patterns_catalog(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from phylocount import oracle
 from phylocount.networks import (
     canonical_code,
     component_graph,
@@ -21,8 +22,8 @@ from phylocount.onecomp import (
     tree_count,
 )
 from phylocount.oracle import (
-    EnumerationJob,
     airy_first_root,
+    check_cell,
     count_by_class,
     decompress_max_reticulated,
     enumerate_networks,
@@ -37,11 +38,14 @@ from phylocount.verify import _galled_by_max_flow
 
 
 def test_job_budget():
-    assert EnumerationJob(3, 2).vertex_budget == 10
-    with pytest.raises(ValueError):
-        EnumerationJob(4, 4)  # 16 vertices
-    with pytest.raises(ValueError):
-        EnumerationJob(2, 1, "mystery")
+    check_cell(3, 4)  # 14 vertices, the whole budget
+    for leaves, rets in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="need leaves >= 1 and rets >= 0"):
+            check_cell(leaves, rets)
+    with pytest.raises(ValueError, match="job needs 16 vertices, budget is 14"):
+        check_cell(4, 4)
+    with pytest.raises(ValueError, match="job needs 16 vertices, budget is 14"):
+        next(enumerate_networks(5, 3))
 
 
 def test_tiny_cells():
@@ -189,12 +193,22 @@ def test_decompression_three_leaves_round_trip():
     assert len(images) == count_by_class(3, 2).tc == 42
 
 
-def test_max_reticulation_summary():
-    assert max_reticulation_summary(2) == {
+def test_max_reticulation_summary(monkeypatch):
+    asked = []
+    real = oracle.count_by_class
+
+    def recording(leaves, rets):
+        asked.append((leaves, rets))
+        return real(leaves, rets)
+
+    monkeypatch.setattr(oracle, "count_by_class", recording)
+    assert max_reticulation_summary() == {
         "max_rets": 3,
         "count_at_max": 2,
         "tc_max_count": 2,
     }
+    # the scan stops at k = 4, the first count the bound 3l - 3 excludes
+    assert sorted(set(asked)) == [(2, k) for k in range(5)]
 
 
 def test_airy_root():

@@ -84,7 +84,6 @@ RECORDS = [
     (networks.ComponentGraph(1, 0, (), ((1,),), (0,)), "n",
      "ComponentGraph(n=1, root=0, edges=(), attached=((1,),), terminal_labels=(0,))"),
     (canon.DagPattern(2, ((0, 1, 2),)), "edges", "DagPattern(m=2, edges=((0, 1, 2),), root=0)"),
-    (oracle.EnumerationJob(2, 1), "class_filter", "EnumerationJob(leaves=2, rets=1, class_filter=None)"),
     (oracle.ClassCounts(1, 2, 3, 4, 5), "tc", "ClassCounts(pn=1, rv=2, gn=3, tc=4, normal=5)"),
     (verify.CheckResult("s", "n", True), "ok", "CheckResult(suite='s', name='n', ok=True, detail='')"),
 ]
@@ -112,7 +111,6 @@ def test_records_compare_their_fields_only():
     assert net != networks.Network(((1,), ()), (0, 2))
     assert canon.DagPattern(3, ((0, 1, 2), (0, 2, 2))) != canon.DagPattern(3, ((0, 1, 2), (1, 2, 2)))
     assert oracle.ClassCounts(1, 2, 3, 4, 5) != oracle.ClassCounts(1, 2, 3, 4, 6)
-    assert oracle.EnumerationJob(2, 1, "gn") != oracle.EnumerationJob(2, 1)
 
 
 @pytest.mark.parametrize(
@@ -121,10 +119,6 @@ def test_records_compare_their_fields_only():
         (canon.DagPattern, (2, ((0, 1, 3),)), "multiplicities must be 1 or 2"),
         (canon.DagPattern, (2, ((0, 1, 2),), 1), "root must have indegree 0"),
         (canon.DagPattern, (3, ((0, 1, 2), (0, 2, 1))), "weighted indegree 2"),
-        (oracle.EnumerationJob, (0, 1), "need leaves >= 1 and rets >= 0"),
-        (oracle.EnumerationJob, (2, -1), "need leaves >= 1 and rets >= 0"),
-        (oracle.EnumerationJob, (5, 3), "needs 16 vertices, budget is 14"),
-        (oracle.EnumerationJob, (2, 1, "xyz"), "unknown class 'xyz'"),
     ],
 )
 def test_record_validation_errors(make, args, message):
