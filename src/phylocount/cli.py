@@ -13,6 +13,7 @@ network model, the oracle or the verification suites.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -30,6 +31,23 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Write the CLI's own exact counts in full.  CPython caps int-to-str
+    conversion at 4300 digits to guard the parsing of untrusted input; the
+    cap stays on for every argument and is lifted only while counts are
+    written."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before CPython 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,18 +203,20 @@ def _cmd_count(args) -> int:
         value = by_rets[rets] if rets < len(by_rets) else 0
     else:
         value = _brute_count(cls, leaves, rets)
+    with _exact_digits():
+        digits = str(value)
     record = {
         "class": cls,
         "leaves": leaves,
         "rets": rets,
         "method": method,
-        "value": str(value),
+        "value": digits,
         "validity": validity,
     }
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     else:
-        print(f"{cls}({leaves},{rets}) = {value}  [{method}, {validity}]")
+        print(f"{cls}({leaves},{rets}) = {digits}  [{method}, {validity}]")
     return 0
 
 
@@ -244,13 +264,15 @@ def _cmd_table(args) -> int:
     if cls == "trees" and kmax != 0:
         raise ValueError("trees support --kmax 0 only")
     columns = range(kmax + 1)
-    rows = {l: [_table_cell(cls, l, k, lmax) for k in columns] for l in range(1, lmax + 1)}
+    cells = {l: [_table_cell(cls, l, k, lmax) for k in columns] for l in range(1, lmax + 1)}
+    with _exact_digits():
+        rows = {l: [str(v) for v in row] for l, row in cells.items()}
     if args.format == "csv":
         lines = ["leaves," + ",".join(f"k={k}" for k in columns)]
-        lines += [str(l) + "," + ",".join(str(v) for v in row) for l, row in rows.items()]
+        lines += [f"{l}," + ",".join(row) for l, row in rows.items()]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"class": cls, "rows": {str(l): [str(v) for v in row] for l, row in rows.items()}}
+        doc = {"class": cls, "rows": {str(l): row for l, row in rows.items()}}
         text = json.dumps(doc, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
@@ -264,7 +286,8 @@ def _cmd_blocks(args) -> int:
 
     if args.lmax < 1 or args.kmax < 0:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
-    text = onecomp.block_table_csv(args.lmax, args.kmax)
+    with _exact_digits():
+        text = onecomp.block_table_csv(args.lmax, args.kmax)
     if args.out:
         args.out.write_text(text)
     else:
@@ -302,13 +325,15 @@ def _cmd_asympt(args) -> int:
     for leaves, count in zip(leaf_list, counts):
         mantissa, exponent = galled.asymptotic_main_term(leaves, rets)
         ratio = galled.asymptotic_ratio(count, leaves, rets)
+        with _exact_digits():
+            digits = str(count)
         print(
             json.dumps(
                 {
                     "class": cls,
                     "leaves": leaves,
                     "rets": rets,
-                    "count": str(count),
+                    "count": digits,
                     "main_term": f"{mantissa:.12f}e{exponent}",
                     "ratio": f"{ratio:.12f}",
                     "precision": "double (~1e-12 relative)",

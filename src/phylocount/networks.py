@@ -131,15 +131,16 @@ def validation_errors(net: Network) -> list[str]:
 
 
 def _find_errors(net: Network) -> tuple[str, ...]:
-    errors = []
     children, labels, root = net.children, net.leaf_labels, net.root
     n = len(children)
-    # one pass: simplicity (a repeated child would be a parallel edge), child
-    # range, and the indegrees, which are only counted for in-range children
     if not 0 <= root < n:
         return (f"declared root {root} is out of range",)
     if len(labels) != n:
         return (f"{len(labels)} leaf labels for {n} vertices",)
+    errors = []
+    # one pass over the edges: simplicity (a repeated child would be a
+    # parallel edge), child range, and the indegrees, which are only counted
+    # for in-range children
     indeg = [0] * n
     for v, kids in enumerate(children):
         if len(kids) > 1 and len(kids) != len(set(kids)):
@@ -149,27 +150,36 @@ def _find_errors(net: Network) -> tuple[str, ...]:
                 errors.append(f"vertex {v} has an out-of-range child")
                 return tuple(errors)
             indeg[w] += 1
-    roots = [v for v in range(n) if not indeg[v]]
+    # one pass over the vertices: roots, leaves, and the degrees of labeled
+    # and of internal vertices
+    roots, leaves, not_leaves, bad_degrees = [], 0, [], []
+    for v, d_in, kids, label in zip(range(n), indeg, children, labels):
+        d_out = len(kids)
+        if not d_in:
+            roots.append(v)
+        elif d_in == 1 and not d_out:
+            leaves += 1
+        if label:
+            if d_out or d_in != 1:
+                not_leaves.append(f"labeled vertex {v} is not a leaf")
+        elif v != root and (d_in, d_out) not in ((1, 2), (2, 1)):
+            bad_degrees.append(f"internal vertex {v} has degrees ({d_in}, {d_out})")
     if roots != [root]:
         errors.append(f"indegree-0 vertices {roots} do not match declared root {root}")
     if len(children[root]) != 1:
         errors.append("root must have outdegree 1")
-    found = sorted(lab for lab in labels if lab)
-    leaves = [v for v in range(n) if indeg[v] == 1 and not children[v]]
-    expected = list(range(1, len(leaves) + 1))
+    found = sorted(filter(None, labels))
+    expected = list(range(1, leaves + 1))
     if found != expected:
         errors.append(f"leaf labels {found} are not a bijection with {expected}")
-    for v in range(n):
-        if labels[v] and (children[v] or indeg[v] != 1):
-            errors.append(f"labeled vertex {v} is not a leaf")
-    for v in range(n):
-        if v == root or labels[v]:
-            continue
-        if (indeg[v], len(children[v])) not in ((1, 2), (2, 1)):
-            errors.append(f"internal vertex {v} has degrees ({indeg[v]}, {len(children[v])})")
-    # acyclicity and reachability from the root: depth-first search on an
-    # explicit stack of child iterators, stopping at the first edge back
-    # onto the stack
+    errors += not_leaves + bad_degrees
+    # a topological order from the sole root that takes in every vertex
+    # proves the network acyclic and reachable; only a network that fails
+    # that, or is already faulty, pays for the search that names the fault:
+    # depth first, on an explicit stack of child iterators, stopping at the
+    # first edge back onto the stack
+    if not errors and len(_topo_order(net, indeg)) == n:
+        return ()
     state = [0] * n  # 0 unvisited, 1 on stack, 2 done
     state[root] = 1
     path = [root]
@@ -204,83 +214,111 @@ def _require_valid(net: Network):
         raise ValueError("invalid network: " + "; ".join(errors))
 
 
-def _ancestor_masks(net: Network) -> list[int]:
-    """ancestors[v] as a bitmask (proper ancestors, excluding v itself)."""
-    n = net.n
-    indeg = net.indegrees()
-    masks = [0] * n
-    remaining = indeg[:]
-    queue = [net.root]
-    while queue:
-        v = queue.pop()
-        for w in net.children[v]:
-            masks[w] |= masks[v] | (1 << v)
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                queue.append(w)
-    return masks
-
-
 def is_tree_child(net: Network) -> bool:
     """Every non-leaf vertex has at least one child that is not a reticulation."""
     _require_valid(net)
-    indeg = net.indegrees()
-    for v in range(net.n):
-        if not net.children[v]:
-            continue
-        if all(indeg[w] == 2 for w in net.children[v]):
+    return _tree_child(net.children, net.indegrees())
+
+
+def _tree_child(children, indeg: list[int]) -> bool:
+    # a vertex of a valid network has at most two children: its first and last
+    for kids in children:
+        if kids and indeg[kids[0]] == 2 and indeg[kids[-1]] == 2:
             return False
     return True
+
+
+# The predicates below make one pass down from the root.  A vertex is taken
+# up once its parents are done: a tree vertex or leaf at once, a reticulation
+# when its second parent arrives; until then the reticulation's slot holds
+# what the first parent passed down.
 
 
 def is_normal(net: Network) -> bool:
     """Tree-child and shortcut-free: no reticulation has one parent that is
     an ancestor of the other."""
     _require_valid(net)
-    if not is_tree_child(net):
+    children, indeg = net.children, net.indegrees()
+    if not _tree_child(children, indeg):
         return False
-    indeg = net.indegrees()
-    parents = net.parents()
-    anc = _ancestor_masks(net)
-    for v in range(net.n):
-        if indeg[v] == 2:
-            p, q = parents[v]
-            if (anc[q] >> p) & 1 or (anc[p] >> q) & 1:
+    up = [0] * net.n  # each vertex with its ancestors, as a bitmask
+    up[net.root] = 1 << net.root
+    stack = [net.root]
+    while stack:
+        v = stack.pop()
+        mask = up[v]
+        for w in children[v]:
+            first = up[w]
+            if indeg[w] == 1:
+                up[w] = mask | 1 << w
+            elif not first:
+                up[w] = mask
+                continue
+            # with p the first parent: p is above v iff up[p] lies within
+            # up[v], and v is above p iff v is in up[p]
+            elif not first & ~mask or first >> v & 1:
                 return False
+            else:
+                up[w] = first | mask | 1 << w
+            stack.append(w)
     return True
 
 
 def is_reticulation_visible(net: Network) -> bool:
-    """Every reticulation is visible: deleting it cuts some leaf off the root."""
+    """Every reticulation is visible: it dominates some leaf, so deleting it
+    cuts that leaf off the root."""
     _require_valid(net)
-    indeg = net.indegrees()
-    rets = [v for v in range(net.n) if indeg[v] == 2]
-    return all(_is_visible(net, v) for v in rets)
-
-
-def _is_visible(net: Network, v: int) -> bool:
-    reached = 1 << net.root
+    children, indeg = net.children, net.indegrees()
+    dom = [0] * net.n  # each vertex's dominators, itself included, as a bitmask
+    dom[net.root] = 1 << net.root
+    rets = dominated = 0
     stack = [net.root]
     while stack:
-        u = stack.pop()
-        for w in net.children[u]:
-            if w != v and not (reached >> w) & 1:
-                reached |= 1 << w
-                stack.append(w)
-    for leaf in range(net.n):
-        if net.leaf_labels[leaf] and not (reached >> leaf) & 1:
-            return True
-    return False
+        v = stack.pop()
+        mask = dom[v]
+        if not children[v]:
+            dominated |= mask
+        for w in children[v]:
+            if indeg[w] == 1:
+                dom[w] = mask | 1 << w
+            elif not dom[w]:
+                dom[w] = mask
+                continue
+            else:
+                dom[w] = dom[w] & mask | 1 << w
+                rets |= 1 << w
+            stack.append(w)
+    return not rets & ~dominated
 
 
 def is_galled(net: Network) -> bool:
-    """Every reticulation sits in a tree cycle.
+    """Every reticulation sits in a tree cycle: its two parents lie in one
+    tree component.
 
     Equivalently, the component graph with arrows ignored is a tree (Gunawan,
-    Lu & Zhang, Bioinformatics 2016); `verify` keeps the tree-cycle
-    definition as an independent max-flow reference.
+    Lu & Zhang, Bioinformatics 2016); the tests keep that as a second route
+    and `verify` keeps the tree-cycle definition as a max-flow reference.
     """
-    return component_graph(net).stripped_is_tree()
+    _require_valid(net)
+    children, indeg = net.children, net.indegrees()
+    head = [-1] * net.n  # each vertex's tree component, named by its top vertex
+    head[net.root] = net.root
+    stack = [net.root]
+    while stack:
+        v = stack.pop()
+        top = head[v]
+        for w in children[v]:
+            if indeg[w] == 1:
+                head[w] = top
+            elif head[w] < 0:
+                head[w] = top
+                continue
+            elif head[w] != top:
+                return False
+            else:
+                head[w] = w
+            stack.append(w)
+    return True
 
 
 class ComponentGraph(Record):
@@ -387,52 +425,66 @@ _ORDER_TAG = b"o"
 _CANON_TAG = b"c"
 
 
-def canonical_code(net: Network) -> bytes:
+def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
     """Deterministic bytes equal for two networks iff they are isomorphic as
     leaf-labeled rooted DAGs.
 
-    Each vertex gets an invariant key: the rank of its unfolding signature
-    (see :func:`_unfolding`) among the network's signatures, with the sorted
-    keys of its parents.  When the keys are pairwise distinct, sorting by key
-    orders the vertices canonically and the code is the network written in
-    that order.  Only otherwise does the general canonizer of
-    :mod:`phylocount.canon` run.  Distinctness is itself an invariant, and
-    the two kinds of code carry different tags, so they never meet.
+    Each vertex gets an invariant key: one character for the rank of its
+    unfolding signature (see :func:`_unfolding`) among the network's
+    signatures, then its parents' keys, sorted and joined.  The rank fixes
+    the vertex kind and so how many parent keys follow, so a key reads back
+    uniquely.  When the keys are pairwise distinct, sorting by key orders
+    the vertices canonically and the code is the network written in that
+    order: a width byte, then per vertex its outdegree and its children's
+    places, or its label for a leaf, each number in one byte below 256
+    vertices and in `width` bytes from there.  Only otherwise does the
+    general canonizer of :mod:`phylocount.canon` run.  Distinctness is
+    itself an invariant, and the two kinds of code carry different tags, so
+    they never meet.  `unfolding` is ``_unfolding(net)`` when the caller has
+    it already.
     """
     _require_valid(net)
     n = net.n
-    order, kinds, up = _unfolding(net)
-    rank = {sig: i for i, sig in enumerate(sorted(set(up)))}
-    parents = net.parents()
-    key: list = [None] * n
+    children, labels = net.children, net.leaf_labels
+    order, kinds, up = unfolding or _unfolding(net)
+    rank = {sig: chr(i) for i, sig in enumerate(sorted(set(up)))}
+    key = [""] * n  # the parents' keys, until the vertex's own is complete
     for v in order:
-        keys = [key[p] for p in parents[v]]
-        if len(keys) == 2 and keys[1] < keys[0]:
-            keys.reverse()
-        key[v] = (rank[up[v]], tuple(keys))
-    colors = [(kinds[v] << 20) | net.leaf_labels[v] for v in range(n)]
+        own = key[v] = rank[up[v]] + key[v]
+        for w in children[v]:
+            other = key[w]
+            key[w] = other + own if other <= own else own + other
     if len(set(key)) < n:
+        colors = [(kinds[v] << 20) | labels[v] for v in range(n)]
         edges = [(u, w, 1) for u, w in net.edges()]
         return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
-    position = [0] * n
-    for i, v in enumerate(sorted(range(n), key=key.__getitem__)):
-        position[v] = i
-    ordered_colors = [0] * n
-    for v in range(n):
-        ordered_colors[position[v]] = colors[v]
-    edges = sorted((position[u], position[w]) for u, w in net.edges())
-    return _ORDER_TAG + repr((n, tuple(ordered_colors), tuple(edges))).encode()
+    ranked = sorted(range(n), key=key.__getitem__)
+    position = sorted(range(n), key=ranked.__getitem__)  # the inverse order
+    values = []
+    for v in ranked:
+        kids = children[v]
+        values.append(len(kids))
+        if not kids:
+            values.append(labels[v])
+        elif len(kids) == 1:
+            values.append(position[kids[0]])
+        else:
+            a, b = position[kids[0]], position[kids[1]]
+            values += (a, b) if a < b else (b, a)
+    width = (n.bit_length() + 7) // 8
+    if width == 1:
+        return _ORDER_TAG + b"\x01" + bytes(values)
+    return _ORDER_TAG + bytes([width]) + b"".join(x.to_bytes(width, "big") for x in values)
 
 
-def structure_key(net: Network) -> str:
+def structure_key(net: Network, unfolding: tuple | None = None) -> str:
     """Cheap isomorphism invariant: the root's unfolding signature, one flat
-    string (see :func:`_unfolding`).
+    string (see :func:`_unfolding`, which the caller may pass in).
 
     Equal keys do not in general imply isomorphism (sharing is lost), so this
     only serves as a fast pre-filter before :func:`canonical_code`.
     """
-    _, _, up = _unfolding(net)
-    return up[net.root]
+    return (unfolding or _unfolding(net))[2][net.root]
 
 
 # the _KIND_ORDER place of each binary (indegree, outdegree) pair
@@ -452,40 +504,39 @@ def _unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
     string form of the classic tree-isomorphism code (Aho, Hopcroft &
     Ullman 1974, section 3.2).
     """
-    children = net.children
+    children, labels = net.children, net.leaf_labels
     indeg = net.indegrees()
     order = _topo_order(net, indeg)
+    if len(order) != net.n:
+        raise ValueError("graph is not acyclic")
     kinds = [0] * net.n
     up: list = [None] * net.n
     for v in reversed(order):
         kids = children[v]
-        kind = _DEGREE_KIND_ORDER.get((indeg[v], len(kids)))
+        out = len(kids)
+        kind = kinds[v] = _DEGREE_KIND_ORDER.get((indeg[v], out))
         if kind is None:
-            _classify(indeg[v], len(kids))  # raises
-        kinds[v] = kind
-        if not kids:  # a leaf
-            up[v] = f"{kind}:{net.leaf_labels[v]};"
-        elif len(kids) == 2:
+            _classify(indeg[v], out)  # raises
+        if out == 2:
             a, b = up[kids[0]], up[kids[1]]
             up[v] = f"{kind}({a}{b})" if a <= b else f"{kind}({b}{a})"
-        else:
+        elif out:
             up[v] = f"{kind}({up[kids[0]]})"
+        else:  # a leaf
+            up[v] = f"{kind}:{labels[v]};"
     return order, kinds, up
 
 
 def _topo_order(net: Network, indeg: list[int]) -> list[int]:
+    """Kahn's order from the declared root; it misses every vertex on or
+    below a cycle and every vertex the root does not reach."""
     remaining = indeg[:]
     order = [net.root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:  # the loop also visits what it appends
         for w in net.children[v]:
             remaining[w] -= 1
-            if remaining[w] == 0:
+            if not remaining[w]:
                 order.append(w)
-    if len(order) != net.n:
-        raise ValueError("graph is not acyclic")
     return order
 
 

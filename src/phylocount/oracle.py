@@ -24,6 +24,7 @@ from phylocount.networks import (
     is_valid,
     structure_key,
     validation_errors,
+    _unfolding,
 )
 from phylocount.records import Record
 
@@ -78,7 +79,8 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
             tuple([child_tuples.setdefault(kids, kids) for kids in map(tuple, children)]),
             leaf_labels,
         )
-        key = structure_key(net)
+        unfolding = _unfolding(net)  # for the key and, on a collision, the code
+        key = structure_key(net, unfolding)
         bucket = seen.get(key)
         if bucket is None:
             seen[key] = [net, None]  # representative, its code (lazy)
@@ -87,9 +89,8 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
         if rep_code is None:
             rep_code = canonical_code(rep)
             bucket[1] = rep_code
-        codes = bucket[2:] if len(bucket) > 2 else []
-        code = canonical_code(net)
-        if code == rep_code or code in codes:
+        code = canonical_code(net, unfolding)
+        if code == rep_code or code in bucket[2:]:
             return None
         bucket.append(code)
         return net

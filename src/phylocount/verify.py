@@ -343,9 +343,9 @@ def _enumerated_networks():
         for net in nets:
             if networks.validation_errors(net):
                 return False
-            if networks.is_galled(net) != _galled_by_max_flow(net):
-                return False
             cg = networks.component_graph(net)
+            if not networks.is_galled(net) == cg.stripped_is_tree() == _galled_by_max_flow(net):
+                return False
             indegs = cg.weighted_indegrees()
             if any(indegs[v] != 2 for v in range(cg.n) if v != cg.root):
                 return False

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phylocount.cli import CLASSES, METHODS, main
-from phylocount import io, verify
+from phylocount import io, onecomp, verify
 from phylocount.networks import Network
 
 
@@ -228,6 +229,55 @@ def test_asympt_output(capsys):
     lines = [json.loads(line) for line in out.strip().split("\n")]
     ratios = [float(line["ratio"]) for line in lines]
     assert abs(ratios[1] - 1) < abs(ratios[0] - 1)
+
+
+def _full_decimal(value: int) -> str:
+    # the reference digits, past CPython's 4300-digit int-to-str cap
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        ("count --class trees --leaves 1700", "value", lambda: onecomp.tree_count(1700)),
+        ("count --class gn --leaves 5000 --rets 1", "value", lambda: onecomp.closed_form("gn", 5000, 1)),
+        ("asympt --class gn --rets 1 --leaves 1700", "count", lambda: onecomp.closed_form("gn", 1700, 1)),
+    ],
+)
+def test_counts_past_the_digit_cap_print_in_full(capsys, argv, field, value):
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    digits = json.loads(out)[field]
+    assert len(digits) > 4300
+    assert digits == _full_decimal(value())
+    assert sys.get_int_max_str_digits() == limit  # the cap is back on
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        ("table --class trees --lmax 1500 --kmax 0", lambda: onecomp.tree_count(1500)),
+        ("blocks --lmax 1500 --kmax 0", lambda: onecomp.block_count(1500, 0)),
+    ],
+)
+def test_table_rows_past_the_digit_cap_print_in_full(capsys, argv, value):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert len(last) > 4300
+    assert last == "1500," + _full_decimal(value())
+
+
+def test_arguments_past_the_digit_cap_stay_usage_errors(capsys):
+    huge = "1" * 5000
+    assert main(["asympt", "--class", "gn", "--rets", "1", "--leaves", huge]) == 2
+    assert capsys.readouterr().err == "error: --leaves must be a comma-separated list of integers\n"
 
 
 @pytest.mark.parametrize(

@@ -306,3 +306,43 @@ def test_structure_key_is_the_unfolding_written_with_delimiters():
         assert key_a != key_b
         assert key_a.translate(_UNDELIMITED) == key_b.translate(_UNDELIMITED)
 
+
+def _random_nested(labels: list[int], rng: random.Random):
+    # a random binary tree over the labels, as nested pairs
+    if len(labels) == 1:
+        return labels[0]
+    cut = rng.randrange(1, len(labels))
+    return (_random_nested(labels[:cut], rng), _random_nested(labels[cut:], rng))
+
+
+def _caterpillar(labels: list[int]):
+    nested = labels[0]
+    for label in labels[1:]:
+        nested = (nested, label)
+    return nested
+
+
+@pytest.mark.parametrize(
+    "nested, width",
+    [
+        (_random_nested(list(range(1, 21)), random.Random(3)), 1),  # 20 labels, 40 vertices
+        (_caterpillar(list(range(1, 131))), 2),  # 130 labels, 260 vertices
+    ],
+)
+def test_canonical_code_of_large_trees(nested, width):
+    net = _tree(nested)
+    code = canonical_code(net)
+    assert code[:2] == b"o" + bytes([width])
+    rng = random.Random(7)
+    for _ in range(5):
+        perm = list(range(net.n))
+        rng.shuffle(perm)
+        assert canonical_code(net.relabel_vertices(dict(enumerate(perm)))) == code
+    # swapping the labels of two leaves that are not siblings moves a
+    # cluster, so the swapped tree is not isomorphic to this one
+    top = net.num_leaves
+    parents = net.parents()
+    assert parents[net.leaf_labels.index(1)] != parents[net.leaf_labels.index(top)]
+    swap = {1: top, top: 1}
+    swapped = Network(net.children, tuple(swap.get(lab, lab) for lab in net.leaf_labels), net.root)
+    assert canonical_code(swapped) != code

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from phylocount import oracle
+from phylocount import networks, oracle
 from phylocount.networks import (
     canonical_code,
     component_graph,
@@ -115,11 +115,69 @@ def test_class_inclusions_pointwise():
 
 
 def test_galled_equals_tree_shaped_compression():
-    # is_galled is the tree-shaped compression test; the reference is the
-    # tree-cycle definition, checked by max flow
-    for l, k in ((2, 2), (3, 1), (2, 3)):
+    # three routes: the parents of each reticulation share a tree component
+    # (is_galled), the component graph with arrows ignored is a tree, and
+    # the tree-cycle definition, checked by max flow
+    seen = set()
+    for l, k in ((2, 2), (3, 1), (2, 3), (3, 2)):
         for net in enumerate_networks(l, k):
-            assert is_galled(net) == _galled_by_max_flow(net)
+            galled = is_galled(net)
+            assert galled == component_graph(net).stripped_is_tree() == _galled_by_max_flow(net)
+            seen.add(galled)
+    assert seen == {True, False}
+
+
+def _reaches(net, start: int, avoid: int = -1) -> set[int]:
+    # the vertices reachable from `start` without passing through `avoid`
+    reached, stack = {start}, [start]
+    while stack:
+        for w in net.children[stack.pop()]:
+            if w != avoid and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return reached
+
+
+def test_visible_and_normal_match_their_definitions():
+    # references by plain reachability: a reticulation is visible iff
+    # deleting it cuts some leaf off the root; a tree-child network is
+    # normal iff no reticulation has a parent below its other parent
+    seen = set()
+    for l, k in ((2, 2), (3, 1), (2, 3), (3, 2)):
+        for net in enumerate_networks(l, k):
+            indeg = net.indegrees()
+            parents = net.parents()
+            rets = [v for v in range(net.n) if indeg[v] == 2]
+            leaves = {v for v in range(net.n) if net.leaf_labels[v]}
+            visible = all(leaves - _reaches(net, net.root, avoid=r) for r in rets)
+            shortcut = any(q in _reaches(net, p) for r in rets for p in parents[r] for q in parents[r] if p != q)
+            assert is_reticulation_visible(net) == visible
+            assert is_normal(net) == (is_tree_child(net) and not shortcut)
+            seen.add((visible, is_normal(net)))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
+    # the pins of the traced benchmark self-check at (2, 4): one
+    # structure_key per candidate, the distinct networks, and one
+    # validation per canonical code and per predicate; the candidate's
+    # unfolding serves both its key and its code
+    calls = {"structure_key": 0, "validation_errors": 0, "_unfolding": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "structure_key", counted("structure_key", oracle.structure_key))
+    monkeypatch.setattr(networks, "validation_errors", counted("validation_errors", networks.validation_errors))
+    unfolding = counted("_unfolding", networks._unfolding)
+    monkeypatch.setattr(networks, "_unfolding", unfolding)
+    monkeypatch.setattr(oracle, "_unfolding", unfolding)
+    counts = oracle.count_by_class.__wrapped__(2, 4)
+    assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (8665, 3881, 18707)
+    assert calls["_unfolding"] < 15729  # one per candidate, and per lazily coded representative
 
 
 def test_compressed_indegrees_are_two():
