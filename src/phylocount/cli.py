@@ -286,12 +286,14 @@ def _cmd_blocks(args) -> int:
 
     if args.lmax < 1 or args.kmax < 0:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
+    # the table is filled here, so a failure leaves no partial --out file
+    lines = onecomp.block_table_lines(args.lmax, args.kmax)
     with _exact_digits():
-        text = onecomp.block_table_csv(args.lmax, args.kmax)
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+        if args.out:
+            with args.out.open("w") as out:
+                out.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
     return 0
 
 

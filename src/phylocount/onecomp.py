@@ -10,9 +10,11 @@ Every multi-component count in the package is assembled from these blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import threading
+from collections.abc import Iterator
 from fractions import Fraction
 
 from phylocount.series import (
@@ -240,13 +242,18 @@ def _table_form(row, leaves: int):
     return value.numerator if value.denominator == 1 else value
 
 
-def block_table_csv(lmax: int, kmax: int) -> str:
-    """CSV of block counts, rows l = 1..lmax, columns k = 0..kmax."""
+def block_table_lines(lmax: int, kmax: int) -> Iterator[str]:
+    """CSV of block counts, rows l = 1..lmax, columns k = 0..kmax, one
+    newline-terminated line at a time, header first.  The table is filled
+    when this is called; each line is written out only when it is read."""
     block_count(lmax, min(lmax, kmax))  # fill the table once, from its far corner
-    lines = ["leaves," + ",".join(f"k={k}" for k in range(kmax + 1))]
-    for l in range(1, lmax + 1):
-        lines.append(str(l) + "," + ",".join(str(block_count(l, k)) for k in range(kmax + 1)))
-    return "\n".join(lines) + "\n"
+    columns = range(kmax + 1)
+    header = "leaves," + ",".join(f"k={k}" for k in columns) + "\n"
+    rows = (
+        f"{l}," + ",".join(str(block_count(l, k)) for k in columns) + "\n"
+        for l in range(1, lmax + 1)
+    )
+    return itertools.chain((header,), rows)
 
 
 # Closed Laurent forms of the low-order block series, used by tests and by

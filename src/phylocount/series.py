@@ -381,9 +381,6 @@ class SqrtPoly(Record):
             result = result * z_image + SqrtPoly.of({0: c})
         return result
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -101,11 +101,26 @@ def test_table_deterministic(capsys):
     assert first == second
 
 
-def test_blocks_csv(capsys):
+def test_blocks_csv(tmp_path, capsys):
     code, out = run_cli(capsys, "blocks", "--lmax", "4", "--kmax", "2")
     assert code == 0
     assert out.startswith("leaves,k=0,k=1,k=2\n")
     assert "3,3,6,20" in out
+    path = tmp_path / "blocks.csv"
+    code, out_with_file = run_cli(capsys, "blocks", "--lmax", "4", "--kmax", "2", "--out", str(path))
+    assert code == 0 and out_with_file == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_blocks_failure_leaves_no_out_file(tmp_path, monkeypatch):
+    def broken(leaves, rets):
+        raise ArithmeticError(f"odd correction sum at (leaves={leaves}, rets={rets})")
+
+    monkeypatch.setattr(onecomp, "block_count", broken)
+    path = tmp_path / "blocks.csv"
+    with pytest.raises(ArithmeticError):
+        main(["blocks", "--lmax", "5", "--kmax", "2", "--out", str(path)])
+    assert not path.exists()
 
 
 # sha256 of the complete stdout of the fast suites; the same digests pin these
@@ -151,13 +166,13 @@ REPLAY_SKIPPED = {
 }
 
 
-def test_count_and_table_replay_the_pinned_reference(capsys):
-    """Every `count` and `table` call of the benchmark reference prints the
-    pinned bytes."""
+def test_count_table_and_blocks_replay_the_pinned_reference(capsys):
+    """Every `count`, `table` and `blocks` call of the benchmark reference
+    prints the pinned bytes."""
     entries = json.loads(REFERENCE.read_text())["entries"]
     wrong = []
     for key, entry in entries.items():
-        if key.split()[0] not in ("count", "table") or key in REPLAY_SKIPPED:
+        if key.split()[0] not in ("count", "table", "blocks") or key in REPLAY_SKIPPED:
             continue
         code, out = run_cli(capsys, *key.split())
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != entry["stdout_sha256"]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from phylocount import galled
 from phylocount.galled import (
     asymptotic_main_term,
     asymptotic_main_term_log,
@@ -135,6 +136,12 @@ def test_gamma_identity():
     # spot: Gamma(3/2) = sqrt(pi)/2 and Gamma(7/2) = 15 sqrt(pi) / 8
     assert math.isclose(math.gamma(1.5), math.sqrt(math.pi) / 2, rel_tol=1e-12)
     assert math.isclose(math.gamma(3.5), 15 * math.sqrt(math.pi) / 8, rel_tol=1e-12)
+
+
+def test_gamma_identity_rejects_a_wrong_double_factorial(monkeypatch):
+    right = galled.double_factorial
+    monkeypatch.setattr(galled, "double_factorial", lambda n: right(n + 2))
+    assert not gamma_half_identity_check(8)
 
 
 def test_asymptotic_log_matches_direct_evaluation():

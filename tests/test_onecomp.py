@@ -14,7 +14,7 @@ from phylocount.onecomp import (
     block_polynomial,
     block_shift_egf,
     block_sqrt_form,
-    block_table_csv,
+    block_table_lines,
     closed_form,
     has_closed_form,
     normal_two_reticulation_count,
@@ -155,8 +155,8 @@ def test_block_counts_safe_under_concurrent_calls():
 
 
 def test_block_table_csv_deterministic():
-    first = block_table_csv(5, 3)
-    assert first == block_table_csv(5, 3)
+    first = "".join(block_table_lines(5, 3))
+    assert first == "".join(block_table_lines(5, 3))
     lines = first.strip().split("\n")
     assert lines[0] == "leaves,k=0,k=1,k=2,k=3"
     assert lines[2] == "2,1,1,3,0"

@@ -99,7 +99,6 @@ def test_normal_counts_meet_closed_form():
     assert count_by_class(3, 2).normal == normal_two_reticulation_count(3) == 0
 
 
-@pytest.mark.slow
 def test_normal_four_leaves_two_reticulations():
     assert count_by_class(4, 2).normal == normal_two_reticulation_count(4) == 48
 

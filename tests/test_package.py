@@ -43,8 +43,9 @@ def _fresh(script: str):
         ("count --class rv --leaves 12 --rets 4 --method dagsum", NOT_VISIBLE | {"phylocount.io"}),
         ("table --class rv --lmax 6 --kmax 3", NOT_VISIBLE | {"phylocount.io"}),
         ("patterns --m 4", NOT_VISIBLE),
+        ("verify --suite galled", {"mpmath"}),
     ],
-    ids=["gn-series", "blocks", "brute", "rv-closed", "rv-dagsum", "rv-table", "patterns"],
+    ids=["gn-series", "blocks", "brute", "rv-closed", "rv-dagsum", "rv-table", "patterns", "verify-galled"],
 )
 def test_cli_call_imports_only_what_its_subcommand_runs(argv, absent):
     loaded = set(_fresh(
