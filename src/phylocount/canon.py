@@ -41,7 +41,7 @@ def _encode(n: int, perm: list[int], init_colors: Sequence[int], edges: Iterable
     return repr((n, tuple(colors), tuple(relabeled))).encode()
 
 
-def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int] | None = None) -> bytes:
+def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> bytes:
     """Canonical encoding of a vertex-coloured directed multigraph.
 
     `colors` are arbitrary integers; distinguish a root by giving it a unique
@@ -51,8 +51,6 @@ def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int] | None 
     edges = [tuple(e) for e in edges]
     if any(u == w for u, w, _ in edges):
         raise ValueError("self-loops are not supported")
-    if colors is None:
-        colors = [0] * n
     init = list(colors)
     # normalise initial colours to compact ranks, keeping their identity
     rank = {c: i for i, c in enumerate(sorted(set(init)))}

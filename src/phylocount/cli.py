@@ -17,6 +17,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 CLASSES = ("pn", "rv", "gn", "tc", "normal", "onecomp", "trees")
 METHODS = ("auto", "series", "closed", "treesum", "dagsum", "brute")
@@ -122,8 +123,8 @@ def _beyond_bound(cls: str, leaves: int, rets: int) -> bool:
 
 def _series(cls: str, rets: int, order: int):
     """The gn or rv series at one reticulation count, memoized by its module.
-    The rv series is offered as far as the pattern catalog that checks it
-    reaches: rets <= MAX_PATTERN_VERTICES - 1."""
+    The rv series is offered as far as the package builds a pattern catalog,
+    rets <= MAX_PATTERN_VERTICES - 1; the catalog checks it to rets <= 6."""
     if cls == "gn":
         from phylocount import galled
 
@@ -263,22 +264,33 @@ def _cmd_table(args) -> int:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
     if cls == "trees" and kmax != 0:
         raise ValueError("trees support --kmax 0 only")
-    columns = range(kmax + 1)
-    cells = {l: [_table_cell(cls, l, k, lmax) for k in columns] for l in range(1, lmax + 1)}
-    with _exact_digits():
-        rows = {l: [str(v) for v in row] for l, row in cells.items()}
-    if args.format == "csv":
-        lines = ["leaves," + ",".join(f"k={k}" for k in columns)]
-        lines += [f"{l}," + ",".join(row) for l, row in rows.items()]
-        text = "\n".join(lines) + "\n"
-    else:
-        doc = {"class": cls, "rows": {str(l): row for l, row in rows.items()}}
-        text = json.dumps(doc, sort_keys=True) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+    # every cell is computed first, so a failing cell leaves no partial --out file
+    rows = [[_table_cell(cls, l, k, lmax) for k in range(kmax + 1)] for l in range(1, lmax + 1)]
+    _write_lines(_table_lines(cls, args.format, rows), args.out)
     return 0
+
+
+def _table_lines(cls: str, fmt: str, rows: list[list[int]]):
+    """The table as newline-terminated text, one CSV line (header first) or
+    the one JSON line at a time; the counts become digits only as it is read."""
+    if fmt == "json":
+        doc = {"class": cls, "rows": {str(l): list(map(str, row)) for l, row in enumerate(rows, 1)}}
+        yield json.dumps(doc, sort_keys=True) + "\n"
+        return
+    yield "leaves," + ",".join(f"k={k}" for k in range(len(rows[0]))) + "\n"
+    for l, row in enumerate(rows, 1):
+        yield f"{l}," + ",".join(map(str, row)) + "\n"
+
+
+def _write_lines(lines: Iterable[str], out: Path | None) -> None:
+    """Write `lines` to the file `out`, or to stdout when there is none, with
+    the CLI's exact counts in full."""
+    with _exact_digits():
+        if out:
+            with out.open("w") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
 
 
 def _cmd_blocks(args) -> int:
@@ -287,13 +299,7 @@ def _cmd_blocks(args) -> int:
     if args.lmax < 1 or args.kmax < 0:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
     # the table is filled here, so a failure leaves no partial --out file
-    lines = onecomp.block_table_lines(args.lmax, args.kmax)
-    with _exact_digits():
-        if args.out:
-            with args.out.open("w") as out:
-                out.writelines(lines)
-        else:
-            sys.stdout.writelines(lines)
+    _write_lines(onecomp.block_table_lines(args.lmax, args.kmax), args.out)
     return 0
 
 

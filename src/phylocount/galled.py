@@ -257,16 +257,16 @@ def asymptotic_ratio(count: int, leaves: int, rets: int) -> float:
     return math.exp(math.log(count) - asymptotic_main_term_log(leaves, rets))
 
 
-def gamma_half_identity_check(k_max: int, rel_tol: float = 1e-12) -> bool:
-    """Check Gamma(2k - 1/2) == 2^(1-2k) (4k-3)!! sqrt(pi) for 1 <= k <= k_max.
+def gamma_half_identity_check() -> bool:
+    """Check Gamma(2k - 1/2) == 2^(1-2k) (4k-3)!! sqrt(pi) for 1 <= k <= 8,
+    to a relative 1e-12.
 
     Double precision suffices: libm's Gamma is within a few ulps here, far
-    inside `rel_tol`, while a wrong power of 2 or double factorial is off by
-    a factor of 2 or more.  Past k = 75, (4k-3)!! no longer fits a double and the check
-    raises OverflowError."""
-    for k in range(1, k_max + 1):
+    inside the tolerance, while a wrong power of 2 or double factorial is
+    off by a factor of 2 or more."""
+    for k in range(1, 9):
         lhs = math.gamma(2 * k - 0.5)
         rhs = math.ldexp(double_factorial(4 * k - 3) * math.sqrt(math.pi), 1 - 2 * k)
-        if abs(lhs - rhs) / abs(rhs) > rel_tol:
+        if abs(lhs - rhs) / abs(rhs) > 1e-12:
             return False
     return True

@@ -11,10 +11,9 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: `patterns` calls never load the network model
     from phylocount.canon import DagPattern
-    from phylocount.networks import ComponentGraph, Network
+    from phylocount.networks import Network
 
 NETWORK_SCHEMA = "phylocount.network/1"
-COMPONENT_GRAPH_SCHEMA = "phylocount.component_graph/1"
 PATTERN_SCHEMA = "phylocount.pattern/1"
 
 
@@ -80,10 +79,10 @@ def _vertex_index(value, n: int, what: str) -> int:
     return value
 
 
-def network_to_dot(net: Network, name: str = "network") -> str:
+def network_to_dot(net: Network) -> str:
     kinds = net.kinds()
     shape = {"root": "diamond", "tree": "circle", "reticulation": "box", "leaf": "plaintext"}
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    lines = ["digraph network {", "  rankdir=TB;"]
     for v in range(net.n):
         kind = kinds[v].value
         label = str(net.leaf_labels[v]) if net.leaf_labels[v] else f"{kind[0]}{v}"
@@ -94,60 +93,21 @@ def network_to_dot(net: Network, name: str = "network") -> str:
     return "\n".join(lines) + "\n"
 
 
-def component_graph_to_json(cg: ComponentGraph) -> str:
-    doc = {
-        "schema": COMPONENT_GRAPH_SCHEMA,
-        "root": cg.root,
-        "vertices": [
-            {
-                "id": v,
-                "attached_leaves": list(cg.attached[v]),
-                "terminal_label": cg.terminal_labels[v] or None,
-            }
-            for v in range(cg.n)
-        ],
-        "edges": [
-            {"from": u, "to": v, "double": double} for u, v, double in sorted(cg.edges)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def component_graph_to_dot(cg: ComponentGraph, name: str = "components") -> str:
-    lines = [f"digraph {name} {{"]
-    for v in range(cg.n):
-        bits = [f"c{v}"]
-        if cg.attached[v]:
-            bits.append("leaves " + ",".join(map(str, cg.attached[v])))
-        if cg.terminal_labels[v]:
-            bits.append(f"label {cg.terminal_labels[v]}")
-        lines.append(f'  c{v} [shape=ellipse, label="{" / ".join(bits)}"];')
-    for u, v, double in sorted(cg.edges):
-        style = " [arrowhead=normalnormal, label=\"2\"]" if double else ""
-        lines.append(f"  c{u} -> c{v}{style};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def pattern_doc(pattern: DagPattern, symmetry: int | None = None) -> dict:
+def pattern_doc(pattern: DagPattern, symmetry: int) -> dict:
     """The `phylocount.pattern/1` document of a pattern, as a dict."""
-    doc = {
+    return {
         "schema": PATTERN_SCHEMA,
         "root": pattern.root,
         "m": pattern.m,
         "edges": [
             {"from": u, "to": v, "multiplicity": mult} for u, v, mult in sorted(pattern.edges)
         ],
+        "symmetries": symmetry,
     }
-    if symmetry is not None:
-        doc["symmetries"] = symmetry
-    return doc
 
 
-def pattern_to_dot(pattern: DagPattern, symmetry: int | None = None, name: str = "pattern") -> str:
-    lines = [f"digraph {name} {{"]
-    if symmetry is not None:
-        lines.append(f'  label="symmetries: {symmetry}";')
+def pattern_to_dot(pattern: DagPattern, symmetry: int, name: str) -> str:
+    lines = [f"digraph {name} {{", f'  label="symmetries: {symmetry}";']
     for v in range(pattern.m):
         shape = "diamond" if v == pattern.root else "circle"
         lines.append(f"  p{v} [shape={shape}];")

@@ -10,7 +10,6 @@ values; nothing here mutates.
 from __future__ import annotations
 
 import enum
-from itertools import permutations
 
 from phylocount import canon
 from phylocount.records import Record
@@ -100,17 +99,6 @@ class Network(Record):
     def kinds(self) -> list[VertexKind]:
         indeg = self.indegrees()
         return [_classify(indeg[v], len(self.children[v])) for v in range(self.n)]
-
-    def relabel_vertices(self, perm: dict[int, int]) -> "Network":
-        """Renumber vertices by `perm` (a bijection on 0..n-1); for tests."""
-        n = self.n
-        children = [[] for _ in range(n)]
-        labels = [0] * n
-        for v in range(n):
-            children[perm[v]] = sorted(perm[w] for w in self.children[v])
-        for v in range(n):
-            labels[perm[v]] = self.leaf_labels[v]
-        return Network(tuple(tuple(c) for c in children), tuple(labels), perm[self.root])
 
 
 def _classify(indeg: int, outdeg: int) -> VertexKind:
@@ -538,16 +526,3 @@ def _topo_order(net: Network, indeg: list[int]) -> list[int]:
             if not remaining[w]:
                 order.append(w)
     return order
-
-
-def all_leaf_relabelings(net: Network) -> list[Network]:
-    """Every network obtained by permuting the leaf labels; for tests."""
-    leaves = [v for v in range(net.n) if net.leaf_labels[v]]
-    labels = sorted(net.leaf_labels[v] for v in leaves)
-    out = []
-    for perm in permutations(labels):
-        new_labels = list(net.leaf_labels)
-        for v, lab in zip(leaves, perm):
-            new_labels[v] = lab
-        out.append(Network(net.children, tuple(new_labels), net.root))
-    return out

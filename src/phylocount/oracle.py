@@ -194,15 +194,15 @@ def count_by_class(leaves: int, rets: int) -> ClassCounts:
     return ClassCounts(pn, rv, gn, tc, normal)
 
 
-def reticulation_capacity(children: Sequence[Sequence[int]] | Network, root: int = 0) -> int:
+def reticulation_capacity(children: Sequence[Sequence[int]] | Network) -> int:
     """Largest reticulation count obtainable by decompressing the given
     tree-child shape, per the arrow-placement rules.
 
     Accepts a Network (whose outdegree-1 stem root is skipped) or raw child
-    lists of a compressed shape, possibly multifurcating.  Indegree-2
-    vertices with several children are treated as split into a reticulation
-    plus an uncounted follow-up vertex; a reticulation's lone follow-up
-    vertex is likewise not counted (merge normalisation).
+    lists of a compressed shape rooted at vertex 0, possibly multifurcating.
+    Indegree-2 vertices with several children are treated as split into a
+    reticulation plus an uncounted follow-up vertex; a reticulation's lone
+    follow-up vertex is likewise not counted (merge normalisation).
     """
     if isinstance(children, Network):
         net = children
@@ -211,6 +211,7 @@ def reticulation_capacity(children: Sequence[Sequence[int]] | Network, root: int
         root = net.children[net.root][0]
         kids = net.children
     else:
+        root = 0
         kids = [tuple(c) for c in children]
     n = len(kids)
     indeg = [0] * n

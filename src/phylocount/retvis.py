@@ -258,12 +258,13 @@ def three_ret_split_sqrt_forms() -> tuple[SqrtPoly, SqrtPoly]:
     return tree_part, non_tree_part
 
 
-def three_ret_split_check(order: int = 24):
+def three_ret_split_check():
     """Compare the pattern-sum halves (tree-like vs not) with their closed
-    Laurent forms, coefficient by coefficient up to `order`.
+    Laurent forms, coefficient by coefficient through z^24.
 
     Returns (True, None) or (False, (which, n)) at the first disagreement.
     """
+    order = 24
     tree_sum = Egf.zero(order)
     non_tree_sum = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(4):
@@ -405,18 +406,22 @@ def _shape_weight(internal: int, parent_sets, counts) -> int:
     return weight
 
 
-def galled_series_reference(leaves: int, rets: int) -> int:
-    """Galled count via the tree-pattern part of the pattern sum, used as a
-    cross-check that tree-like patterns reproduce the galled class."""
+def galled_series_reference(rets: int, order: int) -> Egf:
+    """The galled series through z^order as the tree-like part of the pattern
+    sum; raises ArithmeticError unless it equals :func:`galled.galled_egf`.
+
+    Galled networks compress to tree-like patterns, so this route shares
+    only the block table with the galled composition recurrence."""
     from phylocount.galled import galled_egf  # only this check needs the galled series
 
-    total = Egf.zero(leaves)
+    total = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(rets + 1):
         if pattern_is_treelike(pattern):
-            total = total + pattern_term(pattern, symmetry, leaves)
-    value = total.count(leaves)
-    if value != galled_egf(rets, leaves).count(leaves):
+            total = total + pattern_term(pattern, symmetry, order)
+    expected = galled_egf(rets, order)
+    if total != expected:
+        first = next(l for l in range(order + 1) if total.coeff(l) != expected.coeff(l))
         raise ArithmeticError(
-            f"tree-pattern total disagrees with the galled series at (leaves={leaves}, rets={rets})"
+            f"tree-pattern series disagrees with the galled series at (leaves={first}, rets={rets})"
         )
-    return value
+    return total

@@ -18,7 +18,6 @@ All arithmetic is exact; nothing in this module rounds.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
@@ -258,26 +257,15 @@ class Egf(Record):
     def counts(self) -> list[int]:
         return [self.count(n) for n in range(self.order + 1)]
 
-    def truncate(self, order: int) -> "Egf":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return Egf._of(self.nums[: order + 1], self.den)
-
-    def _combine(self, other: "Egf", op) -> "Egf":
+    def __add__(self, other: "Egf") -> "Egf":
         t = min(self.order, other.order) + 1
         a, b = self.nums[:t], other.nums[:t]
         da, db = self.den, other.den
         if da == db:
-            return Egf._of(tuple(map(op, a, b)), da)
+            return Egf._of(tuple(map(operator.add, a, b)), da)
         g = math.gcd(da, db)
         ma, mb = db // g, da // g
-        return Egf._of(tuple(op(x * ma, y * mb) for x, y in zip(a, b)), da * ma)
-
-    def __add__(self, other: "Egf") -> "Egf":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "Egf") -> "Egf":
-        return self._combine(other, operator.sub)
+        return Egf._of(tuple(x * ma + y * mb for x, y in zip(a, b)), da * ma)
 
     def __mul__(self, other) -> "Egf":
         if isinstance(other, Egf):
@@ -305,20 +293,6 @@ class Egf(Record):
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def to_json(self) -> str:
-        triples = [[n, c.numerator, c.denominator] for n, c in enumerate(self.coeffs)]
-        return json.dumps({"kind": "egf", "coeffs": triples})
-
-    @staticmethod
-    def from_json(text: str) -> "Egf":
-        data = json.loads(text)
-        if data.get("kind") != "egf":
-            raise ValueError("not a serialized Egf")
-        coeffs = [Fraction(0)] * len(data["coeffs"])
-        for n, num, den in data["coeffs"]:
-            coeffs[n] = Fraction(num, den)
-        return Egf(tuple(coeffs))
 
 
 def _binomial_convolution(a: Sequence[int], b: Sequence[int], t: int) -> tuple[int, ...]:
@@ -469,17 +443,6 @@ class SqrtPoly(Record):
         return Egf(
             tuple(sum((c * col[n] for c, col in columns), Fraction(0)) for n in range(order + 1))
         )
-
-    def to_json(self) -> str:
-        triples = [[d, c.numerator, c.denominator] for d, c in self.terms]
-        return json.dumps({"kind": "sqrtpoly", "terms": triples})
-
-    @staticmethod
-    def from_json(text: str) -> "SqrtPoly":
-        data = json.loads(text)
-        if data.get("kind") != "sqrtpoly":
-            raise ValueError("not a serialized SqrtPoly")
-        return SqrtPoly.of({d: Fraction(num, den) for d, num, den in data["terms"]})
 
 
 def fit_sqrt_poly(series: Egf, exponents: Sequence[int]) -> SqrtPoly:

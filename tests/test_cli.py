@@ -319,6 +319,9 @@ def test_arguments_past_the_digit_cap_stay_usage_errors(capsys):
         "count --class gn --leaves 3 --rets -1",
         "table --class gn --lmax 0 --kmax 1",
         "table --class trees --lmax 3 --kmax 1",
+        # a cell past the oracle's budget, after earlier rows were computed
+        "table --class normal --lmax 5 --kmax 3",
+        "table --class normal --lmax 5 --kmax 3 --out {missing}",
         "blocks --lmax 0 --kmax 1",
         "asympt --class gn --rets 4 --leaves 5",
         "asympt --class gn --rets 2 --leaves 3,x",
@@ -371,6 +374,7 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown class 'xyz'\n"
 
 
+
 def test_patterns_catalog(tmp_path, capsys):
     code, out = run_cli(capsys, "patterns", "--m", "3", "--dot", str(tmp_path))
     assert code == 0
@@ -403,17 +407,6 @@ def test_patterns_json_streams_the_bytes_of_one_dump(capsys, m):
     text = [f"{len(catalog)} patterns with {m} vertices"]
     text += [f"  edges={p.edges} symmetries={s}" for p, s in catalog]
     assert run_cli(capsys, "patterns", "--m", str(m), "--format", "text") == (0, "\n".join(text) + "\n")
-
-
-def test_component_graph_serialization():
-    from phylocount.networks import component_graph
-
-    net = Network.build([[1], [2, 3], [3, 4], [5], [], []], {4: 2, 5: 1})
-    cg = component_graph(net)
-    doc = io.component_graph_to_json(cg)
-    assert doc == io.component_graph_to_json(cg)  # deterministic
-    assert '"schema":"phylocount.component_graph/1"' in doc.replace(" ", "")
-    assert "digraph" in io.component_graph_to_dot(cg)
 
 
 def test_json_round_trip_via_io():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +11,6 @@ from phylocount.canon import DagPattern
 from phylocount.networks import (
     Network,
     VertexKind,
-    all_leaf_relabelings,
     canonical_code,
     component_graph,
     is_galled,
@@ -24,6 +24,28 @@ from phylocount.networks import (
 from phylocount import canon
 from phylocount.networks import _CANON_TAG, _KIND_ORDER, _unfolding
 from phylocount.oracle import enumerate_networks
+
+
+def relabel_vertices(net: Network, perm: dict[int, int]) -> Network:
+    """Renumber the vertices of `net` by `perm`, a bijection on 0..n-1."""
+    children = [[] for _ in range(net.n)]
+    labels = [0] * net.n
+    for v in range(net.n):
+        children[perm[v]] = sorted(perm[w] for w in net.children[v])
+        labels[perm[v]] = net.leaf_labels[v]
+    return Network(tuple(map(tuple, children)), tuple(labels), perm[net.root])
+
+
+def all_leaf_relabelings(net: Network) -> list[Network]:
+    """Every network obtained from `net` by permuting its leaf labels."""
+    leaves = [v for v in range(net.n) if net.leaf_labels[v]]
+    out = []
+    for perm in permutations(sorted(net.leaf_labels[v] for v in leaves)):
+        labels = list(net.leaf_labels)
+        for v, label in zip(leaves, perm):
+            labels[v] = label
+        out.append(Network(net.children, tuple(labels), net.root))
+    return out
 
 
 def single_edge_network() -> Network:
@@ -114,7 +136,7 @@ def test_canonical_code_relabeling_invariance():
     for _ in range(10):
         perm = list(range(net.n))
         rng.shuffle(perm)
-        relabeled = net.relabel_vertices(dict(enumerate(perm)))
+        relabeled = relabel_vertices(net, dict(enumerate(perm)))
         assert canonical_code(relabeled) == code
         assert structure_key(relabeled) == structure_key(net)
 
@@ -217,7 +239,7 @@ def test_canonical_code_agrees_with_general_canonizer(cell, size, fallbacks):
     for net in nets:
         perm = list(range(net.n))
         rng.shuffle(perm)
-        sample += [net, net.relabel_vertices(dict(enumerate(perm)))]
+        sample += [net, relabel_vertices(net, dict(enumerate(perm)))]
     codes = [canonical_code(net) for net in sample]
     plain = [_plain_canon_code(net) for net in sample]
     # equal codes <=> equal general-canonizer codes, over every pair
@@ -292,7 +314,7 @@ def test_structure_key_is_the_unfolding_written_with_delimiters():
         for net in enumerate_networks(*cell):
             perm = list(range(net.n))
             rng.shuffle(perm)
-            nets += [net, net.relabel_vertices(dict(enumerate(perm)))]
+            nets += [net, relabel_vertices(net, dict(enumerate(perm)))]
     keys = [structure_key(net) for net in nets]
     refs = [_reference_unfolding(net, net.root) for net in nets]
     # every key reads back as its network's unfolding, so the encoding is
@@ -337,7 +359,7 @@ def test_canonical_code_of_large_trees(nested, width):
     for _ in range(5):
         perm = list(range(net.n))
         rng.shuffle(perm)
-        assert canonical_code(net.relabel_vertices(dict(enumerate(perm)))) == code
+        assert canonical_code(relabel_vertices(net, dict(enumerate(perm)))) == code
     # swapping the labels of two leaves that are not siblings moves a
     # cluster, so the swapped tree is not isomorphic to this one
     top = net.num_leaves

@@ -216,7 +216,7 @@ def test_tree_like_split():
     cat = enumerate_patterns(4)
     tree_like = [p for p, _ in cat if pattern_is_treelike(p)]
     assert len(tree_like) == 4
-    ok, bad = three_ret_split_check(24)
+    ok, bad = three_ret_split_check()
     assert ok, bad
     # the split halves sum to the class series
     fa, fb = three_ret_split_sqrt_forms()
@@ -228,12 +228,13 @@ def test_tree_like_split():
 
 
 def test_tree_like_patterns_count_galled_networks():
-    assert galled_series_reference(3, 3) == 114
-    assert galled_series_reference(4, 2) == 1575
+    assert galled_series_reference(3, 3).count(3) == 114
+    assert galled_series_reference(2, 4).count(4) == 1575
 
 
 def test_tree_like_reference_raises_on_disagreement(monkeypatch):
     import phylocount.galled
+    from phylocount import verify
 
     def off_by_one(rets, order):
         series = galled_egf(rets, order)
@@ -241,8 +242,12 @@ def test_tree_like_reference_raises_on_disagreement(monkeypatch):
 
     # the reference imports the galled series when it runs
     monkeypatch.setattr(phylocount.galled, "galled_egf", off_by_one)
-    with pytest.raises(ArithmeticError):
-        galled_series_reference(3, 3)
+    with pytest.raises(ArithmeticError, match=r"leaves=4, rets=3"):
+        galled_series_reference(3, 4)
+    name = "tree-like patterns reproduce the galled series (k <= 5, l <= 20)"
+    check = next(fn for _, check_name, fn in verify.CHECKS if check_name == name)
+    result = verify.run_check("retvis", name, check)
+    assert not result.ok and "leaves=20, rets=0" in result.detail
 
 
 def test_component_sum():

@@ -195,12 +195,10 @@ def test_integer_kernel_matches_fraction_reference(ca, cb, factor, k):
     assert a.coeffs == tuple(ca) and a.order == len(ca) - 1
     assert (a * b).coeffs == _fraction_product(ca, cb)
     assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
-    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
     assert a.scale(factor).coeffs == tuple(c * factor for c in ca)
     assert (factor * a) == a.scale(factor)
     k = min(k, a.order)
     assert a.diff(k).coeffs == _fraction_diff(ca, k)
-    assert a.truncate(k).coeffs == tuple(ca[: k + 1])
     for n, c in enumerate(ca):
         value = c * math.factorial(n)
         if value.denominator == 1:
@@ -262,13 +260,6 @@ def test_series_values_are_immutable():
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert egf == Egf.from_counts([1, 1, 3]) and poly == SqrtPoly.x_power(-1)
-
-
-def test_json_round_trips():
-    sp = SqrtPoly.of({-3: Fraction(2, 7), 1: -1})
-    assert SqrtPoly.from_json(sp.to_json()) == sp
-    egf = Egf.from_counts([1, 1, 3, 15])
-    assert Egf.from_json(egf.to_json()) == egf
 
 
 def test_formula_threshold_detects_polynomial_cutoffs():
