@@ -258,12 +258,30 @@ def _table_cell(cls: str, leaves: int, rets: int, lmax: int):
     return _brute_count(cls, leaves, rets)
 
 
+def _check_oracle_cells(cls: str, lmax: int, kmax: int) -> None:
+    """Raise ValueError, before any counting, if the oracle cannot reach a
+    table cell it would answer: one within the bound that neither a series
+    nor a closed form covers."""
+    from phylocount import onecomp
+
+    cells = [] if cls in SERIES_METHODS else [
+        (l, k) for l in range(1, lmax + 1) for k in range(kmax + 1)
+        if not (_beyond_bound(cls, l, k) or onecomp.has_closed_form(cls, k))
+    ]
+    if cells:
+        from phylocount import oracle
+
+        for l, k in cells:
+            oracle.check_cell(l, k)
+
+
 def _cmd_table(args) -> int:
     cls, lmax, kmax = args.cls, args.lmax, args.kmax
     if lmax < 1 or kmax < 0:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
     if cls == "trees" and kmax != 0:
         raise ValueError("trees support --kmax 0 only")
+    _check_oracle_cells(cls, lmax, kmax)
     # every cell is computed first, so a failing cell leaves no partial --out file
     rows = [[_table_cell(cls, l, k, lmax) for k in range(kmax + 1)] for l in range(1, lmax + 1)]
     _write_lines(_table_lines(cls, args.format, rows), args.out)
@@ -271,11 +289,15 @@ def _cmd_table(args) -> int:
 
 
 def _table_lines(cls: str, fmt: str, rows: list[list[int]]):
-    """The table as newline-terminated text, one CSV line (header first) or
-    the one JSON line at a time; the counts become digits only as it is read."""
+    """The table as text, one CSV line (header first) or one JSON row at a
+    time; the counts become digits only as it is read."""
     if fmt == "json":
-        doc = {"class": cls, "rows": {str(l): list(map(str, row)) for l, row in enumerate(rows, 1)}}
-        yield json.dumps(doc, sort_keys=True) + "\n"
+        # the bytes json.dumps(..., sort_keys=True) gives the whole document;
+        # row keys sort as strings: "1", "10", "11", ..., "2"
+        yield f'{{"class": {json.dumps(cls)}, "rows": {{'
+        for i, l in enumerate(sorted(range(1, len(rows) + 1), key=str)):
+            yield f'{", " if i else ""}"{l}": {json.dumps(list(map(str, rows[l - 1])))}'
+        yield "}}\n"
         return
     yield "leaves," + ",".join(f"k={k}" for k in range(len(rows[0]))) + "\n"
     for l, row in enumerate(rows, 1):

@@ -1,8 +1,9 @@
 """Galled-network counts: series recurrence, closed forms, tree sums, asymptotics.
 
-The series route builds the EGF for k reticulations out of the shifted block
-series via the power-table recurrence; the closed forms for k = 2, 3 are
-polynomial-times-double-factorial expressions whose validity range is
+The series route is :func:`onecomp.pattern_egf` over tree-like patterns, the
+compressed forms of galled networks; the composition identity, the tree sum
+and the oracle check it by routes of their own.  The closed forms for k = 2, 3
+are polynomial-times-double-factorial expressions whose validity range is
 discovered by comparison against the series, never assumed.
 """
 
@@ -14,13 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from phylocount.series import Egf, SqrtPoly, double_factorial, validated_from
-from phylocount.onecomp import (
-    block_count,
-    block_egf,
-    block_shift_egf,
-    closed_form,
-    shift_sqrt_form,
-)
+from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf, shift_sqrt_form
 
 
 def _compositions(total: int, parts: int):
@@ -36,22 +31,9 @@ def _compositions(total: int, parts: int):
 
 @functools.cache
 def galled_egf(rets: int, order: int) -> Egf:
-    """EGF of galled networks with exactly `rets` reticulations, truncated."""
-    if rets < 0 or order < 0:
-        raise ValueError("rets and order must be nonnegative")
-    if rets == 0:
-        return block_egf(0, order)  # trees: 1 - sqrt(1-2z)
-    # G_k = sum_j F_j / j! [v^(k-j)] G(v)^j, with G(v)^j built up power
-    # by power and truncated in v to the degree the next terms need
-    lower = [galled_egf(i, order) for i in range(rets)]
-    result = Egf.zero(order)
-    g_pow = [Egf.one(order)]
-    for j in range(1, rets + 1):
-        g_pow = _bivariate_mul(g_pow, lower, rets - j)
-        result = result + (block_shift_egf(j, order) * g_pow[rets - j]).scale(
-            Fraction(1, math.factorial(j))
-        )
-    return result
+    """EGF of galled networks with exactly `rets` reticulations, truncated:
+    the pattern sum over tree-like patterns."""
+    return pattern_egf("gn", rets, order)
 
 
 def galled_count(leaves: int, rets: int) -> int:
@@ -103,15 +85,15 @@ def generating_identity_check(max_rets: int, order: int, _egfs=None):
     the class equals a block chosen at the top with lower networks substituted
     at its reticulation leaves.
 
-    The right-hand side expands [v^(k-j)] G(v)^j over every ordered
-    composition of k - j into j parts, independently of the power table
-    that :func:`galled_egf` uses.  Returns (True, None) or
+    The right-hand side expands G_k = sum_j F_j / j! [v^(k-j)] G(v)^j over
+    every ordered composition of k - j into j parts, independently of the
+    pattern recurrence that :func:`galled_egf` uses.  Returns (True, None) or
     (False, (rets, power)) at the first bad coefficient.  `_egfs` lets tests
     inject a corrupted series family.
     """
     K, T = max_rets, order
     egfs = _egfs if _egfs is not None else [galled_egf(k, T) for k in range(K + 1)]
-    rhs = [block_shift_egf(0, T)]
+    rhs = [block_series(0, 0, T)]
     for k in range(1, K + 1):
         total = Egf.zero(T)
         for j in range(1, k + 1):
@@ -121,7 +103,7 @@ def generating_identity_check(max_rets: int, order: int, _egfs=None):
                 for part in combo:
                     term = term * egfs[part]
                 inner = inner + term
-            total = total + (block_shift_egf(j, T) * inner).scale(
+            total = total + (block_series(j, j, T) * inner).scale(
                 Fraction(1, math.factorial(j))
             )
         rhs.append(total)
@@ -131,16 +113,6 @@ def generating_identity_check(max_rets: int, order: int, _egfs=None):
                 if rhs[k].coeff(n) != egfs[k].coeff(n):
                     return False, (k, n)
     return True, None
-
-
-def _bivariate_mul(a: list[Egf], b: list[Egf], max_power: int) -> list[Egf]:
-    order = min(x.order for x in a + b)
-    out = [Egf.zero(order) for _ in range(max_power + 1)]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j <= max_power:
-                out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 # Multifurcating labeled trees and the tree-shaped component sum.

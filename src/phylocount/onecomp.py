@@ -131,16 +131,68 @@ def block_polynomial(rets: int) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def block_egf(rets: int, order: int) -> Egf:
-    """Series sum_l block_count(l, rets) z^l / l!."""
-    return Egf.from_counts([block_count(l, rets) for l in range(order + 1)])
+@functools.cache
+def block_series(c: int, c1: int, order: int) -> Egf:
+    """Series of a pattern vertex with c distinct children, c1 of them joined
+    by double edges: sum_{l >= l0} block_count(l + c, c1) z^l / l!, with l0
+    = 1 when c1 = 0 (a component that owns no reticulation keeps a labeled
+    leaf) and 0 otherwise.  block_series(0, k) is the block series of k
+    reticulations and block_series(k, k) its k-fold derivative F_k."""
+    l0 = 0 if c1 > 0 else 1
+    return Egf.from_counts([block_count(l + c, c1) if l >= l0 else 0 for l in range(order + 1)])
 
 
-def block_shift_egf(rets: int, order: int) -> Egf:
-    """Series sum_l block_count(l + rets, rets) z^l / l!, the rets-fold
-    derivative of :func:`block_egf` (`verify` checks the identity term by
-    term)."""
-    return Egf.from_counts([block_count(l + rets, rets) for l in range(order + 1)])
+# the vertex profiles (c, c1) each class admits in its compressed patterns:
+# galled networks compress to the tree-like ones, all children double
+PATTERN_PROFILES = {"gn": operator.eq, "rv": lambda c, c1: True}
+
+
+def pattern_egf(cls: str, rets: int, order: int) -> Egf:
+    """EGF of the gn or rv networks with `rets` reticulations: the sum over
+    patterns on m = rets+1 vertices of the product of their vertex series
+    over their symmetry count s.  A pattern has (m-1)!/s labellings that fix
+    the root, so this is the sum over labelled patterns divided by (m-1)!.
+
+    Labelled patterns are counted without generating any, layer by layer as
+    in Robinson's count of labelled acyclic digraphs: the root is the first
+    layer, and a vertex joins the layer after the one that gives it its last
+    parent edge.  A state is four sizes: n0 sources of the current layer
+    still to process, nz vertices complete for the next layer, and n1 and n2
+    vertices that still need one and two parent edges.  A source takes b
+    double and a2 single children among the n2 and a1 single children among
+    the n1, in C(n2, b) C(n2-b, a2) C(n1, a1) ways, and carries the block
+    series of profile (b + a2 + a1, b) if the class admits it.  Each state
+    does one product per profile, and its weight does not depend on rets, so
+    every rets shares the states of one class and order.
+    """
+    if rets < 0 or order < 0:
+        raise ValueError("rets and order must be nonnegative")
+    return _pattern_weight(cls, order, 1, 0, 0, rets).scale(Fraction(1, math.factorial(rets)))
+
+
+@functools.cache
+def _pattern_weight(cls: str, order: int, n0: int, nz: int, n1: int, n2: int) -> Egf:
+    if n0 == 0:
+        if nz:
+            return _pattern_weight(cls, order, nz, 0, n1, n2)
+        return Egf.zero(order) if n1 or n2 else Egf.one(order)
+    admits = PATTERN_PROFILES[cls]
+    by_profile: dict[tuple[int, int], Egf] = {}
+    for b in range(n2 + 1):
+        for a2 in range(n2 - b + 1):
+            ways2 = math.comb(n2, b) * math.comb(n2 - b, a2)
+            for a1 in range(n1 + 1):
+                key = (b + a2 + a1, b)
+                if not admits(*key):
+                    continue
+                rest = _pattern_weight(cls, order, n0 - 1, nz + b + a1, n1 - a1 + a2, n2 - b - a2)
+                if not rest.is_zero():
+                    term = rest.scale(ways2 * math.comb(n1, a1))
+                    by_profile[key] = by_profile[key] + term if key in by_profile else term
+    total = Egf.zero(order)
+    for (c, c1), paths in by_profile.items():
+        total = total + block_series(c, c1, order) * paths
+    return total
 
 
 def tree_count(leaves: int) -> int:
@@ -261,7 +313,7 @@ def block_table_lines(lmax: int, kmax: int) -> Iterator[str]:
 # recurrence-built series wherever it is consumed.
 
 def block_sqrt_form(rets: int) -> SqrtPoly:
-    """Closed Laurent form of block_egf for rets in {0, 1, 2}."""
+    """Closed Laurent form of block_series(0, rets) for rets in {0, 1, 2}."""
     x = SqrtPoly.x_power
     one = SqrtPoly.of({0: 1})
     if rets == 0:
@@ -277,7 +329,7 @@ def block_sqrt_form(rets: int) -> SqrtPoly:
 
 
 def shift_sqrt_form(rets: int) -> SqrtPoly:
-    """Closed Laurent form of block_shift_egf for rets in {0, 1, 2}."""
+    """Closed Laurent form of block_series(rets, rets) for rets in {0, 1, 2}."""
     if rets == 0:
         return block_sqrt_form(0)
     if rets == 1:

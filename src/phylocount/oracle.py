@@ -95,20 +95,21 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
         bucket.append(code)
         return net
 
-    def options(u: int, used_t: int, used_r: int, label_mask: int, min_desc):
-        # descriptor order: new tree (0,0) < new ret (1,0) < close ret (2, w) < leaf (3, label)
-        if used_t < t:
-            yield (0, 0)
+    def options(u: int, used_t: int, used_r: int, label_mask: int) -> list:
+        # in descriptor order: new tree (0,0) < new ret (1,0) < close ret (2, w)
+        # < leaf (3, label); only the open reticulations need a sort, since
+        # closing one re-inserts it at the end of `ret_parent`
+        found = [(0, 0)] if used_t < t else []
         if used_r < rets:
-            yield (1, 0)
-        for w, p in ret_parent.items():
-            if p != u:
-                yield (2, w)
+            found.append((1, 0))
+        if ret_parent:
+            found += [(2, w) for w in sorted(ret_parent) if ret_parent[w] != u]
         m = label_mask
         while m:
             low = m & -m
-            yield (3, low.bit_length())
+            found.append((3, low.bit_length()))
             m ^= low
+        return found
 
     def rec(index: int, used_t: int, used_r: int, label_mask: int):
         if index == len(slots):
@@ -119,7 +120,7 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
             return
         u, min_desc = slots[index]
         sibling = index + 1 < len(slots) and slots[index + 1][0] == u
-        for desc in sorted(options(u, used_t, used_r, label_mask, min_desc)):
+        for desc in options(u, used_t, used_r, label_mask):
             if min_desc is not None and desc < min_desc:
                 continue
             kind, arg = desc

@@ -5,7 +5,8 @@ a rooted multigraph DAG on k+1 vertices whose non-root vertices have weighted
 indegree 2 (a double edge counts twice).  Summing a per-vertex block series
 over the catalog of such patterns, weighted by inverse symmetry, yields the
 EGF of the class (:func:`pattern_sum_egf`).  :func:`rv_egf` gets the same
-series without the catalog, from a recurrence over vertex-labelled patterns.
+series without the catalog, from the recurrence over vertex-labelled patterns
+in :func:`onecomp.pattern_egf`, which admits every vertex profile.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from phylocount import canon
 from phylocount.canon import DagPattern
 from phylocount.series import Egf, SqrtPoly, validated_from
-from phylocount.onecomp import block_count, closed_form
+from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf
 
 MAX_PATTERN_VERTICES = 8
 
@@ -65,23 +66,10 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
     )
 
 
-@functools.cache
-def profile_egf(c: int, c1: int, order: int) -> Egf:
-    """Block series of a pattern vertex with c distinct children, c1 of which
-    join by double edges: sum_{l >= l0} block_count(l + c, c1) z^l / l!, where
-    l0 is 0 when c1 > 0 and 1 otherwise (a component with no owned
-    reticulations must keep at least one labeled leaf)."""
-    l0 = 0 if c1 > 0 else 1
-    counts = [0] * (order + 1)
-    for l in range(l0, order + 1):
-        counts[l] = block_count(l + c, c1)
-    return Egf.from_counts(counts)
-
-
 def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
-    """Block series attached to a pattern vertex: the :func:`profile_egf` of
-    its (distinct children, double-edge children)."""
-    return profile_egf(pattern.out_count(vertex), pattern.double_count(vertex), order)
+    """Block series attached to a pattern vertex: :func:`onecomp.block_series`
+    of its (distinct children, double-edge children)."""
+    return block_series(pattern.out_count(vertex), pattern.double_count(vertex), order)
 
 
 def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
@@ -97,8 +85,8 @@ def pattern_sum_egf(rets: int, order: int) -> Egf:
     """The paper's pattern sum over the catalog of (rets+1)-vertex patterns.
 
     The reference route for :func:`rv_egf`: it goes through the canonizer,
-    the catalog and the automorphism counts, none of which the recurrence
-    uses."""
+    the catalog and the automorphism counts, none of which the labelled
+    recurrence uses."""
     if rets < 0:
         raise ValueError("rets must be nonnegative")
     total = Egf.zero(order)
@@ -109,52 +97,9 @@ def pattern_sum_egf(rets: int, order: int) -> Egf:
 
 @functools.cache
 def rv_egf(rets: int, order: int) -> Egf:
-    """EGF of reticulation-visible networks with exactly `rets` reticulations.
-
-    A pattern class with symmetry s has (m-1)!/s vertex labellings that fix
-    the root, so the pattern sum equals the sum over labelled patterns on
-    m = rets+1 vertices, divided by (m-1)!.  The labelled patterns are counted
-    without generating any, layer by layer as in Robinson's count of labelled
-    acyclic digraphs: the root is the first layer, and a vertex joins the
-    layer after the one that gives it its last parent edge.  Vertices with
-    the same role are interchangeable, so a state is four sizes: n0 sources
-    of the current layer still to process, nz vertices already complete for
-    the next layer, and n1 and n2 vertices that still need one and two
-    parent edges.  A source takes b double children and a2 single children
-    among the n2, and a1 single children among the n1, in
-    C(n2, b) C(n2-b, a2) C(n1, a1) ways, and carries the block series of
-    profile (b + a2 + a1, b).  Transitions are grouped by profile, so each
-    state does one product per distinct profile.
-    """
-    if rets < 0:
-        raise ValueError("rets must be nonnegative")
-    zero = Egf.zero(order)
-    one = Egf.one(order)
-
-    @functools.cache
-    def weight(n0: int, nz: int, n1: int, n2: int) -> Egf:
-        if n0 == 0:
-            if nz:
-                return weight(nz, 0, n1, n2)
-            return zero if n1 or n2 else one
-        by_profile: dict[tuple[int, int], Egf] = {}
-        for b in range(n2 + 1):
-            for a2 in range(n2 - b + 1):
-                ways2 = math.comb(n2, b) * math.comb(n2 - b, a2)
-                for a1 in range(n1 + 1):
-                    rest = weight(n0 - 1, nz + b + a1, n1 - a1 + a2, n2 - b - a2)
-                    if rest.is_zero():
-                        continue
-                    key = (b + a2 + a1, b)
-                    term = rest.scale(ways2 * math.comb(n1, a1))
-                    by_profile[key] = by_profile[key] + term if key in by_profile else term
-        total = zero
-        for (c, c1), paths in by_profile.items():
-            total = total + profile_egf(c, c1, order) * paths
-        return total
-
-    m = rets + 1
-    return weight(1, 0, 0, m - 1).scale(Fraction(1, math.factorial(m - 1)))
+    """EGF of reticulation-visible networks with exactly `rets` reticulations:
+    the pattern sum over every (rets+1)-vertex pattern."""
+    return pattern_egf("rv", rets, order)
 
 
 def rv_count(leaves: int, rets: int) -> int:
@@ -410,8 +355,9 @@ def galled_series_reference(rets: int, order: int) -> Egf:
     """The galled series through z^order as the tree-like part of the pattern
     sum; raises ArithmeticError unless it equals :func:`galled.galled_egf`.
 
-    Galled networks compress to tree-like patterns, so this route shares
-    only the block table with the galled composition recurrence."""
+    Galled networks compress to tree-like patterns.  This route picks them
+    from the catalog by parent counts (:func:`pattern_is_treelike`), the
+    galled series by vertex profile; the two share only the block series."""
     from phylocount.galled import galled_egf  # only this check needs the galled series
 
     total = Egf.zero(order)

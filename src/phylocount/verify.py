@@ -124,10 +124,10 @@ def _shift_is_derivative():
     # differentiate coefficient by coefficient, c'_n = (n + 1) c_(n+1), a
     # route that shares no code with Egf.diff
     for k in range(0, 7):
-        coeffs = list(onecomp.block_egf(k, 16 + k).coeffs)
+        coeffs = list(onecomp.block_series(0, k, 16 + k).coeffs)
         for _ in range(k):
             coeffs = [(n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1)]
-        if list(onecomp.block_shift_egf(k, 16).coeffs) != coeffs:
+        if list(onecomp.block_series(k, k, 16).coeffs) != coeffs:
             return False
     return True
 
@@ -261,7 +261,7 @@ def _displays():
     rhs = ((one - x(1)) ** 2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8))
     parts = {
         "F1, F2 shifts": all(
-            f.egf(order) == onecomp.block_shift_egf(k, order) for k, f in enumerate(shifts, 1)
+            f.egf(order) == onecomp.block_series(k, k, order) for k, f in enumerate(shifts, 1)
         ),
         "vertex displays": vertices_ok and seen == set(vertex_displays),
         "two-reticulation display": lhs == rhs == (f2 * (one - x(1)) ** 2).scale(Fraction(1, 2)),

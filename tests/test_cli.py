@@ -199,9 +199,14 @@ def test_asympt_counts_are_the_closed_counts(capsys, cls, rets):
 
 @pytest.mark.parametrize(
     "cls, lmax, kmax",
-    [("gn", 6, 3), ("rv", 5, 3), ("tc", 3, 2), ("normal", 4, 2), ("onecomp", 5, 3), ("trees", 4, 0)],
+    [
+        ("gn", 1, 3), ("gn", 6, 3), ("gn", 9, 3), ("gn", 12, 3), ("rv", 5, 3), ("tc", 3, 2),
+        ("normal", 4, 2), ("onecomp", 5, 3), ("trees", 4, 0),
+    ],
 )
 def test_table_json_holds_the_csv_cells(capsys, cls, lmax, kmax):
+    from phylocount import cli
+
     args = ["table", "--class", cls, "--lmax", str(lmax), "--kmax", str(kmax)]
     _, csv_out = run_cli(capsys, *args)
     code, json_out = run_cli(capsys, *args, "--format", "json")
@@ -209,7 +214,21 @@ def test_table_json_holds_the_csv_cells(capsys, cls, lmax, kmax):
     header, *lines = csv_out.splitlines()
     assert header == "leaves," + ",".join(f"k={k}" for k in range(kmax + 1))
     rows = {line.split(",")[0]: line.split(",")[1:] for line in lines}
+    # the bytes of one dump, row keys in string order ("1", "10", ..., "2"),
+    # written one row at a time
     assert json_out == json.dumps({"class": cls, "rows": rows}, sort_keys=True) + "\n"
+    assert len(list(cli._table_lines(cls, "json", list(rows.values())))) == lmax + 2
+
+
+def test_table_checks_every_oracle_cell_before_counting(capsys, monkeypatch):
+    from phylocount import oracle
+
+    def never(leaves, rets):
+        raise AssertionError(f"counted ({leaves}, {rets}) before the budget check")
+
+    monkeypatch.setattr(oracle, "count_by_class", never)
+    assert main(["table", "--class", "tc", "--lmax", "8", "--kmax", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: job needs 16 vertices, budget is 14\n")
 
 
 def test_count_normal_two_reticulations(capsys):
@@ -319,7 +338,7 @@ def test_arguments_past_the_digit_cap_stay_usage_errors(capsys):
         "count --class gn --leaves 3 --rets -1",
         "table --class gn --lmax 0 --kmax 1",
         "table --class trees --lmax 3 --kmax 1",
-        # a cell past the oracle's budget, after earlier rows were computed
+        # a cell past the oracle's budget, found before any row is counted
         "table --class normal --lmax 5 --kmax 3",
         "table --class normal --lmax 5 --kmax 3 --out {missing}",
         "blocks --lmax 0 --kmax 1",

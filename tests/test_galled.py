@@ -27,7 +27,7 @@ from phylocount.galled import (
     set_partitions,
 )
 from phylocount.onecomp import (
-    block_shift_egf,
+    block_series,
     single_reticulation_count,
     tree_count,
 )
@@ -112,6 +112,13 @@ def test_generating_identity():
     assert not ok_bad and where == (2, 5)
 
 
+def test_generating_identity_reaches_eight_reticulations():
+    # the second route for the series that `count --method series` serves at
+    # rets 5-8: the composition expansion shares only the block series with
+    # the pattern recurrence behind galled_egf
+    assert generating_identity_check(8, 30) == (True, None)
+
+
 def test_set_partitions_count():
     # Bell numbers 1, 1, 2, 5, 15
     for n, bell in ((0, 1), (1, 1), (2, 2), (3, 5), (4, 15)):
@@ -179,8 +186,8 @@ def test_asymptotic_ratios_improve():
 
 
 def test_block_shift_alias():
-    # the series construction reuses the shifted block series; check linkage
-    assert galled_egf(1, 10) == block_shift_egf(1, 10) * galled_egf(0, 10)
+    # one reticulation: a block whose reticulation leaf carries a tree
+    assert galled_egf(1, 10) == block_series(1, 1, 10) * galled_egf(0, 10)
 
 
 def test_galled_egf_cache_counts_hits():

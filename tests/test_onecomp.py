@@ -10,9 +10,8 @@ from phylocount.onecomp import (
     block_closed_one,
     block_closed_two,
     block_count,
-    block_egf,
     block_polynomial,
-    block_shift_egf,
+    block_series,
     block_sqrt_form,
     block_table_lines,
     closed_form,
@@ -85,8 +84,8 @@ def test_block_polynomial_structure():
 def test_shift_forms_match_displays():
     # F0 = 1 - x, F1 = z / x^3, F2 = (3 - z + 7z^2 - 4z^3) / x^7
     for k in (0, 1, 2):
-        assert shift_sqrt_form(k).egf(24) == block_shift_egf(k, 24)
-        assert block_sqrt_form(k).egf(24) == block_egf(k, 24)
+        assert shift_sqrt_form(k).egf(24) == block_series(k, k, 24)
+        assert block_sqrt_form(k).egf(24) == block_series(0, k, 24)
 
 
 def test_one_component_counts():

@@ -38,6 +38,7 @@ def _fresh(script: str):
     "argv, absent",
     [
         ("count --class gn --leaves 12 --rets 4 --method series", NETWORK_MODULES | {"dataclasses"}),
+        ("table --class gn --lmax 8 --kmax 7", NETWORK_MODULES),
         ("blocks --lmax 12 --kmax 3", NETWORK_MODULES | {"dataclasses"}),
         ("count --class pn --leaves 2 --rets 1 --method brute", SERIES_MODULES | {"dataclasses"}),
         ("count --class rv --leaves 17 --rets 3", NOT_VISIBLE | {"phylocount.io"}),
@@ -45,8 +46,12 @@ def _fresh(script: str):
         ("table --class rv --lmax 6 --kmax 3", NOT_VISIBLE | {"phylocount.io"}),
         ("patterns --m 4", NOT_VISIBLE),
         ("verify --suite galled", {"mpmath"}),
+        ("verify --suite onecomp", {"mpmath"}),
     ],
-    ids=["gn-series", "blocks", "brute", "rv-closed", "rv-dagsum", "rv-table", "patterns", "verify-galled"],
+    ids=[
+        "gn-series", "gn-table", "blocks", "brute", "rv-closed", "rv-dagsum", "rv-table", "patterns",
+        "verify-galled", "verify-onecomp",
+    ],
 )
 def test_cli_call_imports_only_what_its_subcommand_runs(argv, absent):
     loaded = set(_fresh(

@@ -221,10 +221,10 @@ def test_fit_sqrt_poly_recovers_known_form():
 
 
 def test_twice_differentiated_block_form_matches_shift_series():
-    from phylocount.onecomp import block_shift_egf, block_sqrt_form
+    from phylocount.onecomp import block_series, block_sqrt_form
 
     twice = block_sqrt_form(2).diff_z().diff_z()
-    assert twice.egf(20) == block_shift_egf(2, 20)
+    assert twice.egf(20) == block_series(2, 2, 20)
 
 
 def _binomial_by_fractions(alpha: Fraction, n: int) -> Fraction:
