@@ -103,6 +103,7 @@ def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> byt
             search(branched)
 
     search(start)
+    del search  # it refers to itself: leave no cycle for the collector
     return best[0]
 
 
@@ -165,7 +166,9 @@ def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
         image[v] = -1
         return found
 
-    return extend(0)
+    count = extend(0)
+    del extend  # it refers to itself: leave no cycle for the collector
+    return count
 
 
 class DagPattern(Record):

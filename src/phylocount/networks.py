@@ -62,7 +62,7 @@ class Network(Record):
         try:
             return self._errors
         except AttributeError:  # the first request
-            errors = _find_errors(self)
+            errors = _find_errors(self)[0]
             object.__setattr__(self, "_errors", errors)
             return errors
 
@@ -118,25 +118,28 @@ def validation_errors(net: Network) -> list[str]:
     return list(net._validation_errors)
 
 
-def _find_errors(net: Network) -> tuple[str, ...]:
+def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
+    """The invariant violations, the indegrees and Kahn's order from the
+    root (see :func:`_topo_order`).  The order is complete when the errors
+    are empty; the indegrees and the order are empty or partial otherwise."""
     children, labels, root = net.children, net.leaf_labels, net.root
     n = len(children)
     if not 0 <= root < n:
-        return (f"declared root {root} is out of range",)
+        return (f"declared root {root} is out of range",), [], []
     if len(labels) != n:
-        return (f"{len(labels)} leaf labels for {n} vertices",)
+        return (f"{len(labels)} leaf labels for {n} vertices",), [], []
     errors = []
     # one pass over the edges: simplicity (a repeated child would be a
     # parallel edge), child range, and the indegrees, which are only counted
     # for in-range children
     indeg = [0] * n
     for v, kids in enumerate(children):
-        if len(kids) > 1 and len(kids) != len(set(kids)):
+        if len(kids) == 2 and kids[0] == kids[1] or len(kids) > 2 and len(set(kids)) < len(kids):
             errors.append(f"parallel edges out of vertex {v}")
         for w in kids:
             if not 0 <= w < n:
                 errors.append(f"vertex {v} has an out-of-range child")
-                return tuple(errors)
+                return tuple(errors), indeg, []
             indeg[w] += 1
     # one pass over the vertices: roots, leaves, and the degrees of labeled
     # and of internal vertices
@@ -150,7 +153,7 @@ def _find_errors(net: Network) -> tuple[str, ...]:
         if label:
             if d_out or d_in != 1:
                 not_leaves.append(f"labeled vertex {v} is not a leaf")
-        elif v != root and (d_in, d_out) not in ((1, 2), (2, 1)):
+        elif v != root and not (d_in + d_out == 3 and 0 < d_in < 3):  # (1, 2) or (2, 1)
             bad_degrees.append(f"internal vertex {v} has degrees ({d_in}, {d_out})")
     if roots != [root]:
         errors.append(f"indegree-0 vertices {roots} do not match declared root {root}")
@@ -166,8 +169,9 @@ def _find_errors(net: Network) -> tuple[str, ...]:
     # that, or is already faulty, pays for the search that names the fault:
     # depth first, on an explicit stack of child iterators, stopping at the
     # first edge back onto the stack
-    if not errors and len(_topo_order(net, indeg)) == n:
-        return ()
+    order = [] if errors else _topo_order(net, indeg)
+    if len(order) == n:
+        return (), indeg, order
     state = [0] * n  # 0 unvisited, 1 on stack, 2 done
     state[root] = 1
     path = [root]
@@ -189,7 +193,7 @@ def _find_errors(net: Network) -> tuple[str, ...]:
     unreachable = [v for v in range(n) if not state[v]]
     if unreachable:
         errors.append(f"vertices {unreachable} are unreachable from the root")
-    return tuple(errors)
+    return tuple(errors), indeg, order
 
 
 def is_valid(net: Network) -> bool:
@@ -425,40 +429,46 @@ def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
     the vertices canonically and the code is the network written in that
     order: a width byte, then per vertex its outdegree and its children's
     places, or its label for a leaf, each number in one byte below 256
-    vertices and in `width` bytes from there.  Only otherwise does the
-    general canonizer of :mod:`phylocount.canon` run.  Distinctness is
-    itself an invariant, and the two kinds of code carry different tags, so
-    they never meet.  `unfolding` is ``_unfolding(net)`` when the caller has
-    it already.
+    vertices and in `width` bytes from there.  When the signatures
+    themselves are pairwise distinct, the leading ranks alone settle that
+    order, so the vertices are sorted by signature and no parent key is
+    built; the bytes are the same.  Only when the keys tie does the general
+    canonizer of :mod:`phylocount.canon` run.  Distinctness is itself an
+    invariant, and the two kinds of code carry different tags, so they
+    never meet.  `unfolding` is ``_unfolding(net)`` when the caller has it
+    already.
     """
     _require_valid(net)
     n = net.n
     children, labels = net.children, net.leaf_labels
     order, kinds, up = unfolding or _unfolding(net)
-    rank = {sig: chr(i) for i, sig in enumerate(sorted(set(up)))}
-    key = [""] * n  # the parents' keys, until the vertex's own is complete
-    for v in order:
-        own = key[v] = rank[up[v]] + key[v]
-        for w in children[v]:
-            other = key[w]
-            key[w] = other + own if other <= own else own + other
-    if len(set(key)) < n:
-        colors = [(kinds[v] << 20) | labels[v] for v in range(n)]
-        edges = [(u, w, 1) for u, w in net.edges()]
-        return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
-    ranked = sorted(range(n), key=key.__getitem__)
+    signatures = set(up)
+    if len(signatures) == n:
+        ranked = sorted(range(n), key=up.__getitem__)
+    else:
+        rank = {sig: chr(i) for i, sig in enumerate(sorted(signatures))}
+        key = [""] * n  # the parents' keys, until the vertex's own is complete
+        for v in order:
+            own = key[v] = rank[up[v]] + key[v]
+            for w in children[v]:
+                other = key[w]
+                key[w] = other + own if other <= own else own + other
+        if len(set(key)) < n:
+            colors = [(kinds[v] << 20) | labels[v] for v in range(n)]
+            edges = [(u, w, 1) for u, w in net.edges()]
+            return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
+        ranked = sorted(range(n), key=key.__getitem__)
     position = sorted(range(n), key=ranked.__getitem__)  # the inverse order
     values = []
     for v in ranked:
         kids = children[v]
-        values.append(len(kids))
-        if not kids:
-            values.append(labels[v])
-        elif len(kids) == 1:
-            values.append(position[kids[0]])
-        else:
+        if len(kids) == 2:
             a, b = position[kids[0]], position[kids[1]]
-            values += (a, b) if a < b else (b, a)
+            values += (2, a, b) if a < b else (2, b, a)
+        elif kids:
+            values += (1, position[kids[0]])
+        else:
+            values += (0, labels[v])
     width = (n.bit_length() + 7) // 8
     if width == 1:
         return _ORDER_TAG + b"\x01" + bytes(values)
@@ -481,7 +491,21 @@ _DEGREE_KIND_ORDER = {
 }
 
 
-def _unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
+def _validated_unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
+    """Validate a network that has not been validated yet, keep the verdict
+    as :func:`validation_errors` would, and return the unfolding (see
+    :func:`_unfolding`) built on the validation's indegrees and Kahn order,
+    so a new network pays for one order.  An invalid network raises
+    ValueError."""
+    errors, indeg, order = _find_errors(net)
+    object.__setattr__(net, "_errors", errors)
+    if errors:
+        raise ValueError("invalid network: " + "; ".join(errors))
+    return _unfolding(net, indeg, order)
+
+
+def _unfolding(net: Network, indeg: list[int] | None = None,
+               order: list[int] | None = None) -> tuple[list[int], list[int], list[str]]:
     """A topological order (root first), every vertex's kind as its place in
     `_KIND_ORDER`, and every vertex's bottom-up signature.
 
@@ -490,13 +514,18 @@ def _unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
     is prefix-free, so two signatures are equal iff the unfoldings (the
     trees obtained by copying every shared subnetwork) are equal; this is the
     string form of the classic tree-isomorphism code (Aho, Hopcroft &
-    Ullman 1974, section 3.2).
+    Ullman 1974, section 3.2).  The signatures compare as strings, and that
+    order is the one :func:`canonical_code` ranks them by.
+
+    A caller that has the indegrees and a complete Kahn order (see
+    :func:`_topo_order`) passes both; otherwise they are computed here.
     """
     children, labels = net.children, net.leaf_labels
-    indeg = net.indegrees()
-    order = _topo_order(net, indeg)
-    if len(order) != net.n:
-        raise ValueError("graph is not acyclic")
+    if order is None:
+        indeg = net.indegrees()
+        order = _topo_order(net, indeg)
+        if len(order) != net.n:
+            raise ValueError("graph is not acyclic")
     kinds = [0] * net.n
     up: list = [None] * net.n
     for v in reversed(order):

@@ -24,11 +24,17 @@ from phylocount.networks import (
     is_valid,
     structure_key,
     validation_errors,
-    _unfolding,
+    _validated_unfolding,
 )
 from phylocount.records import Record
 
 VERTEX_BUDGET = 14
+
+# the enumerator hands its networks over this many at a time: handing each
+# one to a caller that classifies it at once cost about 4 us a network at
+# (2, 4), 15 ms of a 290 ms count, while 64 held networks cost no memory
+# that shows
+_BATCH = 64
 
 
 CLASS_PREDICATES = {
@@ -55,7 +61,13 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
 
     Vertices are filled slot by slot in creation order; descriptor ordering on
     the two child slots of a tree vertex removes most duplicate derivations
-    and canonical codes remove the rest.
+    and canonical codes remove the rest.  The search runs on an explicit
+    stack inside this one generator, which hands the networks over in
+    batches of `_BATCH` with no chain of nested generators between.  Each
+    candidate is validated first, and the validation's Kahn order builds
+    its unfolding, which serves both its `structure_key` and, on a
+    collision, its canonical code.  The dedupe table goes with the
+    generator's frame, when the enumeration ends or is dropped.
     """
     check_cell(leaves, rets)
     t = leaves + rets - 1  # tree vertices
@@ -66,101 +78,120 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     children: list[list[int]] = [[] for _ in range(n)]
     slots: list[list] = [[0, None]]  # [vertex, minimum descriptor]
     ret_parent: dict[int, int] = {}  # open reticulations -> first parent
+    # lazy canonical codes: the first member of a bucket is only canonized
+    # when a second candidate shows up
     seen: dict = {}
     # every candidate shares one label tuple and, through this table, every
     # equal child tuple, so the representatives kept in `seen` are small
     leaf_labels = (0,) * first_leaf + tuple(range(1, leaves + 1))
     child_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    # lazy canonical codes: the first member of a bucket is only canonized
-    # when a second candidate shows up
-    def emit_checked():
-        net = Network(
-            tuple([child_tuples.setdefault(kids, kids) for kids in map(tuple, children)]),
-            leaf_labels,
-        )
-        unfolding = _unfolding(net)  # for the key and, on a collision, the code
-        key = structure_key(net, unfolding)
-        bucket = seen.get(key)
-        if bucket is None:
-            seen[key] = [net, None]  # representative, its code (lazy)
-            return net
-        rep, rep_code = bucket[0], bucket[1]
-        if rep_code is None:
-            rep_code = canonical_code(rep)
-            bucket[1] = rep_code
-        code = canonical_code(net, unfolding)
-        if code == rep_code or code in bucket[2:]:
-            return None
-        bucket.append(code)
-        return net
-
-    def options(u: int, used_t: int, used_r: int, label_mask: int) -> list:
-        # in descriptor order: new tree (0,0) < new ret (1,0) < close ret (2, w)
-        # < leaf (3, label); only the open reticulations need a sort, since
-        # closing one re-inserts it at the end of `ret_parent`
-        found = [(0, 0)] if used_t < t else []
-        if used_r < rets:
-            found.append((1, 0))
-        if ret_parent:
-            found += [(2, w) for w in sorted(ret_parent) if ret_parent[w] != u]
-        m = label_mask
-        while m:
-            low = m & -m
-            found.append((3, low.bit_length()))
-            m ^= low
-        return found
-
-    def rec(index: int, used_t: int, used_r: int, label_mask: int):
-        if index == len(slots):
-            if used_t == t and used_r == rets and not ret_parent and label_mask == 0:
-                net = emit_checked()
-                if net is not None:
-                    yield net
-            return
-        u, min_desc = slots[index]
-        sibling = index + 1 < len(slots) and slots[index + 1][0] == u
-        for desc in options(u, used_t, used_r, label_mask):
-            if min_desc is not None and desc < min_desc:
-                continue
-            kind, arg = desc
-            if sibling:
-                slots[index + 1][1] = desc
-            if kind == 0:
-                v = 1 + used_t
-                children[u].append(v)
-                slots.append([v, None])
-                slots.append([v, None])
-                yield from rec(index + 1, used_t + 1, used_r, label_mask)
-                slots.pop()
-                slots.pop()
+    used_t = used_r = 0
+    label_mask = (1 << leaves) - 1
+    # one frame per slot being filled: [slot index, its vertex, the vertex's
+    # other child slot when that comes next (else None), the options left to
+    # try (last first), the descriptor in place, the parent a closing
+    # displaced].  Each descriptor put in place becomes the other child
+    # slot's minimum; that slot is read only right after, so the minimum
+    # never needs a reset
+    stack: list[list] = []
+    batch: list[Network] = []  # new networks not yet handed over
+    index = 0
+    while True:
+        if index < len(slots):
+            # the options in descriptor order: new tree (0,0) < new ret (1,0)
+            # < close ret (2, w) < leaf (3, label), kept from the slot's
+            # minimum on; only the open reticulations need a sort, since
+            # closing one re-inserts it at the end of `ret_parent`.  The last
+            # open slot takes no new reticulation, which could never close,
+            # and no leaf but the very last: nothing could fill what remains
+            u, min_desc = slots[index]
+            last = index + 1 == len(slots)
+            found = [(0, 0)] if used_t < t else []
+            if used_r < rets and not last:
+                found.append((1, 0))
+            if ret_parent:
+                found += [(2, w) for w in sorted(ret_parent) if ret_parent[w] != u]
+            m = label_mask
+            if last and (used_t < t or used_r < rets or ret_parent or m & (m - 1)):
+                m = 0
+            while m:
+                low = m & -m
+                found.append((3, low.bit_length()))
+                m ^= low
+            if min_desc is not None:
+                found = [desc for desc in found if desc >= min_desc]
+            if found:
+                found.reverse()
+                sibling = None if last or slots[index + 1][0] != u else slots[index + 1]
+                stack.append([index, u, sibling, found, None, None])
+        elif used_t == t and used_r == rets and not ret_parent and not label_mask:
+            net = Network(
+                tuple([child_tuples.setdefault(kids, kids) for kids in map(tuple, children)]),
+                leaf_labels,
+            )
+            unfolding = _validated_unfolding(net)
+            key = structure_key(net, unfolding)
+            bucket = seen.get(key)
+            if bucket is None:
+                seen[key] = [net, None]  # representative, its code (lazy)
+                batch.append(net)
+            else:
+                if bucket[1] is None:
+                    bucket[1] = canonical_code(bucket[0])
+                code = canonical_code(net, unfolding)
+                if code != bucket[1] and code not in bucket[2:]:
+                    bucket.append(code)
+                    batch.append(net)
+            if len(batch) == _BATCH:
+                yield from batch
+                batch.clear()
+        # take back the top frame's descriptor and put its next one in place
+        while stack:
+            frame = stack[-1]
+            index, u, sibling, found, desc, displaced = frame
+            if desc is not None:
+                kind, arg = desc
                 children[u].pop()
+                if kind == 0:
+                    used_t -= 1
+                    del slots[-2:]
+                elif kind == 1:
+                    used_r -= 1
+                    del ret_parent[first_ret + used_r]
+                elif kind == 2:
+                    slots.pop()
+                    ret_parent[arg] = displaced
+                else:
+                    label_mask |= 1 << (arg - 1)
+            if not found:
+                stack.pop()
+                continue
+            desc = frame[4] = found.pop()
+            if sibling is not None:
+                sibling[1] = desc
+            kind, arg = desc
+            if kind == 0:
+                used_t += 1
+                children[u].append(used_t)
+                slots.append([used_t, None])
+                slots.append([used_t, None])
             elif kind == 1:
                 w = first_ret + used_r
+                used_r += 1
                 children[u].append(w)
                 ret_parent[w] = u
-                yield from rec(index + 1, used_t, used_r + 1, label_mask)
-                del ret_parent[w]
-                children[u].pop()
             elif kind == 2:
-                w = arg
-                p = ret_parent.pop(w)
-                children[u].append(w)
-                slots.append([w, None])
-                yield from rec(index + 1, used_t, used_r, label_mask)
-                slots.pop()
-                children[u].pop()
-                ret_parent[w] = p
+                frame[5] = ret_parent.pop(arg)
+                children[u].append(arg)
+                slots.append([arg, None])
             else:
-                label = arg
-                leaf = first_leaf + label - 1
-                children[u].append(leaf)
-                yield from rec(index + 1, used_t, used_r, label_mask & ~(1 << (label - 1)))
-                children[u].pop()
-            if sibling:
-                slots[index + 1][1] = None
-
-    yield from rec(0, 0, 0, (1 << leaves) - 1)
+                children[u].append(first_leaf + arg - 1)
+                label_mask &= ~(1 << (arg - 1))
+            index += 1
+            break
+        else:
+            yield from batch
+            return
 
 
 class ClassCounts(Record):

@@ -154,6 +154,14 @@ def test_canonical_code_deterministic():
     assert canonical_code(net) == canonical_code(net)
 
 
+def test_canonical_code_writes_distinct_signatures_in_their_order():
+    # the gadget's signatures are pairwise distinct, and in string order
+    # they place root, a, b, r, leaf 1, leaf 2 at 0..5; each vertex is then
+    # written as its outdegree and its children's places, or its label
+    code = bytes([1, 1, 2, 2, 3, 2, 3, 5, 1, 4, 0, 1, 0, 2])
+    assert canonical_code(gadget_network()) == b"o\x01" + code
+
+
 def test_dag_pattern_invariants():
     pattern = DagPattern(3, ((0, 1, 2), (0, 2, 1), (1, 2, 1)))
     assert pattern.out_count(0) == 2

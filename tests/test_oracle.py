@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -160,8 +162,10 @@ def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
     # the pins of the traced benchmark self-check at (2, 4): one
     # structure_key per candidate, the distinct networks, and one
     # validation per canonical code and per predicate; the candidate's
-    # unfolding serves both its key and its code
-    calls = {"structure_key": 0, "validation_errors": 0, "_unfolding": 0}
+    # unfolding serves both its key and its code.  Each candidate is
+    # validated once, and that validation's Kahn order builds its
+    # unfolding: only a lazily coded representative orders itself again
+    calls = {"structure_key": 0, "validation_errors": 0, "_unfolding": 0, "_topo_order": 0, "_find_errors": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -171,12 +175,35 @@ def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
 
     monkeypatch.setattr(oracle, "structure_key", counted("structure_key", oracle.structure_key))
     monkeypatch.setattr(networks, "validation_errors", counted("validation_errors", networks.validation_errors))
-    unfolding = counted("_unfolding", networks._unfolding)
-    monkeypatch.setattr(networks, "_unfolding", unfolding)
-    monkeypatch.setattr(oracle, "_unfolding", unfolding)
+    for name in ("_unfolding", "_topo_order", "_find_errors"):
+        monkeypatch.setattr(networks, name, counted(name, getattr(networks, name)))
     counts = oracle.count_by_class.__wrapped__(2, 4)
     assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (8665, 3881, 18707)
     assert calls["_unfolding"] < 15729  # one per candidate, and per lazily coded representative
+    assert (calls["_topo_order"], calls["_find_errors"]) == (10618, 8665)
+
+
+def test_an_exhausted_enumeration_frees_its_dedupe_table():
+    # the table of representatives, and the canonizer's scratch, must go
+    # when the enumeration ends, not wait for the cyclic collector: a long
+    # process counts many cells.  With the collector off, it must find
+    # nothing to free; the collection it then runs drops only the
+    # interpreter's free lists (about 2000 spare tuples of each small size),
+    # which tracemalloc counts as held
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in enumerate_networks(2, 4):
+            pass
+        del _
+        unreachable = gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert unreachable == 0
+    assert held < 100_000
 
 
 def test_compressed_indegrees_are_two():
