@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from phylocount.series import Egf, SqrtPoly, double_factorial, validated_from
-from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf, shift_sqrt_form
+from phylocount.series import Egf, double_factorial, validated_from
+from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf
 
 
 def _compositions(total: int, parts: int):
@@ -55,29 +55,6 @@ def closed_form_threshold(rets: int) -> int:
     l in [l0, 40].  Discovered, then cached per rets."""
     series = galled_egf(rets, 40)
     return validated_from(lambda l: galled_closed_form(l, rets) == series.count(l), 1, 40)
-
-
-def galled_sqrt_form(rets: int) -> SqrtPoly:
-    """Closed Laurent form of the galled EGF for rets in {1, 2}, built from
-    the composition identities E1 = F1 E0 and E2 = F1 E1 + F2 E0^2 / 2
-    (`verify` compares it with the series)."""
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    e0 = one - x(1)
-    if rets == 1:
-        form = shift_sqrt_form(1) * e0
-        # equivalently z (1 - sqrt(1-2z)) / (1-2z)^(3/2)
-        explicit = (SqrtPoly.from_z_poly([0, 1]) * e0).exact_div(x(3))
-        if form != explicit:
-            raise ArithmeticError("one-reticulation Laurent forms disagree")
-    elif rets == 2:
-        e1 = shift_sqrt_form(1) * e0
-        form = shift_sqrt_form(1) * e1 + (shift_sqrt_form(2) * e0 * e0).scale(
-            Fraction(1, 2)
-        )
-    else:
-        raise ValueError("closed Laurent forms are kept for rets in {1, 2}")
-    return form
 
 
 def generating_identity_check(max_rets: int, order: int, _egfs=None):

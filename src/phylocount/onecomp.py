@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from phylocount.series import (
     Egf,
-    SqrtPoly,
     double_factorial,
     polynomial_eval,
     polynomial_interpolate,
@@ -164,10 +163,19 @@ def pattern_egf(cls: str, rets: int, order: int) -> Egf:
     series of profile (b + a2 + a1, b) if the class admits it.  Each state
     does one product per profile, and its weight does not depend on rets, so
     every rets shares the states of one class and order.
+
+    The recursion takes a frame per pattern vertex and per layer, so a large
+    `rets` outgrows the interpreter's stack; that raises ValueError.
     """
     if rets < 0 or order < 0:
         raise ValueError("rets and order must be nonnegative")
-    return _pattern_weight(cls, order, 1, 0, 0, rets).scale(Fraction(1, math.factorial(rets)))
+    try:
+        weight = _pattern_weight(cls, order, 1, 0, 0, rets)
+    except RecursionError:
+        raise ValueError(
+            f"rets={rets} nests the pattern recurrence deeper than the recursion limit"
+        ) from None
+    return weight.scale(Fraction(1, math.factorial(rets)))
 
 
 @functools.cache
@@ -306,34 +314,3 @@ def block_table_lines(lmax: int, kmax: int) -> Iterator[str]:
         for l in range(1, lmax + 1)
     )
     return itertools.chain((header,), rows)
-
-
-# Closed Laurent forms of the low-order block series, used by tests and by
-# the galled/retvis closed-form constructions; each is asserted against the
-# recurrence-built series wherever it is consumed.
-
-def block_sqrt_form(rets: int) -> SqrtPoly:
-    """Closed Laurent form of block_series(0, rets) for rets in {0, 1, 2}."""
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    if rets == 0:
-        return one - x(1)
-    if rets == 1:
-        return ((one - x(1)) ** 2).exact_div(x(1, 2))
-    if rets == 2:
-        # (4z^2 - 7z + 4 + (5 - 4z) sqrt(1-2z)) (1 - sqrt(1-2z))^2 / (6 (1-2z)^(3/2))
-        root_factor = SqrtPoly.from_z_poly([5, -4]) * x(1)
-        numerator = (SqrtPoly.from_z_poly([4, -7, 4]) + root_factor) * (one - x(1)) ** 2
-        return numerator.exact_div(x(3, 6))
-    raise ValueError("closed forms are kept for rets <= 2; fit higher orders explicitly")
-
-
-def shift_sqrt_form(rets: int) -> SqrtPoly:
-    """Closed Laurent form of block_series(rets, rets) for rets in {0, 1, 2}."""
-    if rets == 0:
-        return block_sqrt_form(0)
-    if rets == 1:
-        return SqrtPoly.from_z_poly([0, 1]).exact_div(SqrtPoly.x_power(3))
-    if rets == 2:
-        return SqrtPoly.from_z_poly([3, -1, 7, -4]).exact_div(SqrtPoly.x_power(7))
-    raise ValueError("closed forms are kept for rets <= 2")

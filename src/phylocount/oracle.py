@@ -445,13 +445,9 @@ def max_reticulation_summary() -> dict[str, int]:
 
 
 def airy_first_root() -> float:
-    """Largest (least negative) root of the Airy function of the first kind,
-    found by bisection plus Newton polish on mpmath's Airy evaluation."""
-    import mpmath  # only this function needs it; importing it slows every start
-
-    with mpmath.workdps(30):
-        root = mpmath.findroot(mpmath.airyai, mpmath.mpf("-2.338107"))
-        return float(root)
+    """Largest (least negative) root a1 of the Airy function of the first
+    kind, as published (DLMF Table 9.9.1)."""
+    return -2.338107410459767
 
 
 def saturated_growth_term_log(leaves: int) -> float:

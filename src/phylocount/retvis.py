@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from phylocount import canon
 from phylocount.canon import DagPattern
-from phylocount.series import Egf, SqrtPoly, validated_from
+from phylocount.series import Egf, validated_from
 from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf
 
 MAX_PATTERN_VERTICES = 8
@@ -66,18 +66,13 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
     )
 
 
-def vertex_egf(pattern: DagPattern, vertex: int, order: int) -> Egf:
-    """Block series attached to a pattern vertex: :func:`onecomp.block_series`
-    of its (distinct children, double-edge children)."""
-    return block_series(pattern.out_count(vertex), pattern.double_count(vertex), order)
-
-
 def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
     """One pattern's share of the pattern sum: the product of its vertex
-    series, weighted by 1/symmetry."""
+    series, each :func:`onecomp.block_series` of the vertex's (distinct
+    children, double-edge children), weighted by 1/symmetry."""
     term = Egf.one(order)
     for v in range(pattern.m):
-        term = term * vertex_egf(pattern, v, order)
+        term = term * block_series(pattern.out_count(v), pattern.double_count(v), order)
     return term.scale(Fraction(1, symmetry))
 
 
@@ -171,62 +166,6 @@ def pattern_is_treelike(pattern: DagPattern) -> bool:
     for _, dst, _ in pattern.edges:
         parents[dst] = parents.get(dst, 0) + 1
     return all(count == 1 for count in parents.values())
-
-
-def three_ret_split_sqrt_forms() -> tuple[SqrtPoly, SqrtPoly]:
-    """Closed Laurent forms of the tree-like and non-tree-like halves of the
-    four-vertex pattern sum (reticulation-visible networks with three
-    reticulations)."""
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    one_plus_x = one + x(1)
-    # the z^5 coefficient is pinned by an exact fit of the tree-like pattern
-    # sum (the sum equals the three-reticulation galled series, so the fit is
-    # doubly anchored)
-    t1 = (
-        SqrtPoly.from_z_poly([0, 0, 0, 4])
-        * SqrtPoly.from_z_poly([29, 12, 29, -37, 36, -16])
-    ).exact_div(x(11) * one_plus_x**3)
-    t2 = (
-        SqrtPoly.from_z_poly([0, 0, 0, 6]) * SqrtPoly.from_z_poly([3, -1, 7, -4])
-    ).exact_div(x(10) * one_plus_x**2)
-    t3 = SqrtPoly.from_z_poly([0, 0, 0, 0, 2]).exact_div(x(9) * one_plus_x)
-    tree_part = t1 + t2 + t3
-    # the x^4 and x^6 coefficients are pinned by an exact fit of the pattern
-    # sum (exponents -10..3, verified through order 34)
-    non_tree_part = (
-        (one - x(1)) ** 2
-        * SqrtPoly.of(
-            {0: 258, 1: -105, 2: -153, 3: -16, 4: 14, 5: 7, 6: 7, 7: -2, 8: -2}
-        )
-    ).exact_div(x(10, 8))
-    return tree_part, non_tree_part
-
-
-def three_ret_split_check():
-    """Compare the pattern-sum halves (tree-like vs not) with their closed
-    Laurent forms, coefficient by coefficient through z^24.
-
-    Returns (True, None) or (False, (which, n)) at the first disagreement.
-    """
-    order = 24
-    tree_sum = Egf.zero(order)
-    non_tree_sum = Egf.zero(order)
-    for pattern, symmetry in enumerate_patterns(4):
-        term = pattern_term(pattern, symmetry, order)
-        if pattern_is_treelike(pattern):
-            tree_sum = tree_sum + term
-        else:
-            non_tree_sum = non_tree_sum + term
-    tree_form, non_tree_form = three_ret_split_sqrt_forms()
-    for name, computed, form in (
-        ("tree", tree_sum, tree_form),
-        ("non-tree", non_tree_sum, non_tree_form),
-    ):
-        for n in range(order + 1):
-            if computed.coeff(n) != form.coeff_z(n):
-                return False, (name, n)
-    return True, None
 
 
 # The small-scale component-graph sum: enumerate the admissible compressed

@@ -14,11 +14,12 @@ import functools
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable
 
 from phylocount import canon, galled, networks, onecomp, oracle, retvis, series
 from phylocount.records import Record
-from phylocount.series import SqrtPoly
+from phylocount.series import Egf, SqrtPoly
 
 SUITES = ("genfun", "onecomp", "galled", "retvis", "oracle", "appendix")
 # validated threshold of the gn and rv closed forms, per reticulation count
@@ -232,42 +233,106 @@ def _rv_zeros():
 
 
 
+@functools.cache
+def laurent_forms() -> MappingProxyType:
+    """The paper's generating-function displays as Laurent polynomials in
+    x = sqrt(1 - 2z), each entered once and built on first use.
+
+    A vertex profile (c, c1) keys the form of block_series(c, c1), so B_k is
+    (0, k) and F_k is (k, k); (1, 0) and (2, 1) are the other vertex series
+    of the three-vertex patterns.  "G1" is the explicit one-reticulation
+    galled series, "tree" and "non-tree" the halves of the four-vertex
+    pattern sum, and "two-ret" the two-reticulation visible display."""
+    x, z = SqrtPoly.x_power, SqrtPoly.from_z_poly
+    one = x(0)
+    b0 = one - x(1)
+    one_plus_x = one + x(1)
+    f2 = z([3, -1, 7, -4]).exact_div(x(7))
+    # the z^5 coefficient of the first tree-like term is pinned by an exact fit
+    # of the tree-like pattern sum (the sum equals the three-reticulation
+    # galled series, so the fit is doubly anchored)
+    tree_terms = (
+        (z([0, 0, 0, 4]) * z([29, 12, 29, -37, 36, -16])).exact_div(x(11) * one_plus_x**3),
+        (z([0, 0, 0, 6]) * f2).exact_div(x(3) * one_plus_x**2),
+        z([0, 0, 0, 0, 2]).exact_div(x(9) * one_plus_x),
+    )
+    return MappingProxyType({
+        (0, 0): b0,
+        (0, 1): (b0**2).exact_div(x(1, 2)),
+        # (4z^2 - 7z + 4 + (5 - 4z) x) (1 - x)^2 / (6 x^3)
+        (0, 2): ((z([4, -7, 4]) + z([5, -4]) * x(1)) * b0**2).exact_div(x(3, 6)),
+        (1, 0): x(-1) - one,
+        (1, 1): z([0, 1]).exact_div(x(3)),
+        (2, 1): z([1, 1]).exact_div(x(5)),
+        (2, 2): f2,
+        "G1": (z([0, 1]) * b0).exact_div(x(3)),
+        "tree": sum(tree_terms, SqrtPoly.zero()),
+        # the x^4 and x^6 coefficients are pinned by an exact fit of the
+        # pattern sum (exponents -10..3, verified through order 34)
+        "non-tree": (
+            b0**2 * SqrtPoly.of({0: 258, 1: -105, 2: -153, 3: -16, 4: 14, 5: 7, 6: 7, 7: -2, 8: -2})
+        ).exact_div(x(10, 8)),
+        "two-ret": (b0**2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8)),
+    })
+
+
+def galled_sqrt_form(rets: int) -> SqrtPoly:
+    """Closed Laurent form of the galled EGF for rets in {1, 2}, built from
+    the table's F1, F2 and B0 by the composition identities E1 = F1 E0 and
+    E2 = F1 E1 + F2 E0^2 / 2, a route apart from the pattern recurrence.
+    The one-reticulation form must also equal the explicit G1."""
+    forms = laurent_forms()
+    e0, f1, f2 = forms[0, 0], forms[1, 1], forms[2, 2]
+    e1 = f1 * e0
+    if rets == 1:
+        if e1 != forms["G1"]:
+            raise ArithmeticError("one-reticulation Laurent forms disagree")
+        return e1
+    if rets == 2:
+        return f1 * e1 + (f2 * e0 * e0).scale(Fraction(1, 2))
+    raise ValueError("closed Laurent forms are kept for rets in {1, 2}")
+
+
+def three_ret_split_check():
+    """Compare the pattern-sum halves (tree-like vs not) with their closed
+    Laurent forms, coefficient by coefficient through z^34.
+
+    Returns (True, None) or (False, (which, n)) at the first disagreement.
+    """
+    order = 34
+    sums = {"tree": Egf.zero(order), "non-tree": Egf.zero(order)}
+    for pattern, symmetry in retvis.enumerate_patterns(4):
+        half = "tree" if retvis.pattern_is_treelike(pattern) else "non-tree"
+        sums[half] = sums[half] + retvis.pattern_term(pattern, symmetry, order)
+    forms = laurent_forms()
+    for half, computed in sums.items():
+        for n in range(order + 1):
+            if computed.coeff(n) != forms[half].coeff_z(n):
+                return False, (half, n)
+    return True, None
+
+
 def _displays():
     order = 24
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    f2 = SqrtPoly.from_z_poly([3, -1, 7, -4]).exact_div(x(7))
-    shifts = (SqrtPoly.from_z_poly([0, 1]).exact_div(x(3)), f2)
-    # per-vertex series of the three-vertex patterns, keyed by
-    # (distinct children, double-edge children)
-    vertex_displays = {
-        (2, 2): SqrtPoly.of({-7: Fraction(15, 4), -5: Fraction(-3, 2), -3: Fraction(1, 4), -1: Fraction(1, 2)}),
-        (0, 0): one - x(1),
-        (1, 1): SqrtPoly.of({-3: Fraction(1, 2), -1: Fraction(-1, 2)}),
-        (2, 1): SqrtPoly.of({-5: Fraction(3, 2), -3: Fraction(-1, 2)}),
-        (1, 0): x(-1) - one,
+    forms = laurent_forms()
+    profiles = [key for key in forms if isinstance(key, tuple)]
+    catalog_profiles = {
+        (pattern.out_count(v), pattern.double_count(v))
+        for pattern, _ in retvis.enumerate_patterns(3)
+        for v in range(pattern.m)
     }
-    vertices_ok, seen = True, set()
-    for pattern, _ in retvis.enumerate_patterns(3):
-        for v in range(pattern.m):
-            key = (pattern.out_count(v), pattern.double_count(v))
-            seen.add(key)
-            vertices_ok = vertices_ok and key in vertex_displays and (
-                retvis.vertex_egf(pattern, v, order) == vertex_displays[key].egf(order)
-            )
     # both printed forms of the two-reticulation visible display, and the
     # star-pattern contribution F2 * E0^2 / 2 they must equal
-    lhs = f2 * (SqrtPoly.from_z_poly([1, -1]) - x(1))
-    rhs = ((one - x(1)) ** 2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8))
+    f2, b0 = forms[2, 2], forms[0, 0]
+    printed = f2 * (SqrtPoly.from_z_poly([1, -1]) - SqrtPoly.x_power(1))
     parts = {
-        "F1, F2 shifts": all(
-            f.egf(order) == onecomp.block_series(k, k, order) for k, f in enumerate(shifts, 1)
+        "profile forms": all(
+            forms[c, c1].egf(order) == onecomp.block_series(c, c1, order) for c, c1 in profiles
         ),
-        "vertex displays": vertices_ok and seen == set(vertex_displays),
-        "two-reticulation display": lhs == rhs == (f2 * (one - x(1)) ** 2).scale(Fraction(1, 2)),
+        "vertex profiles": catalog_profiles <= set(profiles),
+        "two-reticulation display": printed == forms["two-ret"] == (f2 * b0**2).scale(Fraction(1, 2)),
     }
     return all(parts.values()), ", ".join(part for part, ok in parts.items() if not ok)
-
 
 
 def _galled_by_max_flow(net: networks.Network) -> bool:
@@ -422,7 +487,7 @@ CHECKS: list[tuple[str, str, Callable[[], object]]] = [
         galled.closed_form_threshold, galled.galled_closed_form, galled.galled_egf, [(1, 2), (2, 3)]
     )),
     ("galled", "closed Laurent forms match series", lambda: all(
-        galled.galled_sqrt_form(k).egf(24) == galled.galled_egf(k, 24) for k in (1, 2)
+        galled_sqrt_form(k).egf(24) == galled.galled_egf(k, 24) for k in (1, 2)
     )),
     ("galled", "bivariate fixed-point identity (K=4, T=12)", lambda: galled.generating_identity_check(4, 12)),
     ("galled", "tree sum equals series counts (l <= 5)", _tree_sum),
@@ -436,7 +501,7 @@ CHECKS: list[tuple[str, str, Callable[[], object]]] = [
     )),
     ("retvis", "galled <= visible pointwise, equal for k <= 1 (l <= 25)", _galled_dominated),
     ("retvis", "counts vanish beyond 3l-3 (l in {1,2}; k <= 7 direct, k = 7 also certified)", _rv_zeros),
-    ("retvis", "tree/non-tree split matches closed Laurent forms", retvis.three_ret_split_check),
+    ("retvis", "tree/non-tree split matches closed Laurent forms", three_ret_split_check),
     ("retvis", "tree-like patterns reproduce the galled series (k <= 5, l <= 20)", _treelike_galled),
     ("retvis", "generating-function displays match series at order 24", _displays),
     ("retvis", "component-graph sum matches series totals (l <= 2)", lambda: (

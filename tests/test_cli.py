@@ -326,6 +326,9 @@ def test_arguments_past_the_digit_cap_stay_usage_errors(capsys):
         "count --class gn --leaves 9 --method treesum",
         "count --class gn --leaves 9 --rets 2 --method treesum",
         "count --class onecomp --leaves 2 --rets 1 --method brute",
+        # deeper than the pattern recurrence can recurse
+        "count --class gn --leaves 301 --rets 300",
+        "count --class gn --leaves 301 --rets 300 --method series",
         "verify --suite bogus",
         "enumerate --leaves 2 --rets 1 --class bogus --out {missing}",
         # output paths that cannot be written

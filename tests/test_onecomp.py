@@ -12,13 +12,11 @@ from phylocount.onecomp import (
     block_count,
     block_polynomial,
     block_series,
-    block_sqrt_form,
     block_table_lines,
     closed_form,
     has_closed_form,
     normal_two_reticulation_count,
     one_component_count,
-    shift_sqrt_form,
     single_reticulation_count,
     tree_count,
 )
@@ -79,13 +77,6 @@ def test_block_polynomial_structure():
     assert len(p4) - 1 == 8 and p4[-1] == 16
     with pytest.raises(ValueError):
         block_polynomial(0)
-
-
-def test_shift_forms_match_displays():
-    # F0 = 1 - x, F1 = z / x^3, F2 = (3 - z + 7z^2 - 4z^3) / x^7
-    for k in (0, 1, 2):
-        assert shift_sqrt_form(k).egf(24) == block_series(k, k, 24)
-        assert block_sqrt_form(k).egf(24) == block_series(0, k, 24)
 
 
 def test_one_component_counts():

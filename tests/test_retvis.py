@@ -23,12 +23,10 @@ from phylocount.retvis import (
     rv_component_sum,
     rv_count,
     rv_egf,
-    three_ret_split_check,
-    three_ret_split_sqrt_forms,
     vanishing_certificate,
-    vertex_egf,
 )
-from phylocount.series import Egf, SqrtPoly
+from phylocount.series import Egf
+from phylocount.verify import laurent_forms, three_ret_split_check
 
 
 def test_catalog_sizes():
@@ -60,50 +58,6 @@ def test_catalog_stability_under_relabeling():
             tuple(sorted((perm[u], perm[v], mult) for u, v, mult in pattern.edges)),
         )
         assert relabeled.canonical_bytes() == pattern.canonical_bytes()
-
-
-def find_pattern(m: int, signature) -> DagPattern:
-    """Locate the catalog pattern whose (out, double) root profile and shape
-    match `signature`; used to pin the worked vertex-series examples."""
-    for pattern, _ in enumerate_patterns(m):
-        profile = tuple(
-            sorted((pattern.out_count(v), pattern.double_count(v)) for v in range(m))
-        )
-        if profile == signature:
-            return pattern
-    raise AssertionError(f"no pattern with profile {signature}")
-
-
-def test_vertex_series_match_worked_examples():
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    order = 24
-    # mixed pattern: root has one double and one single child, the middle
-    # vertex one single child, the bottom vertex none
-    mixed = find_pattern(3, ((0, 0), (1, 0), (2, 1)))
-    root = next(v for v in range(3) if mixed.out_count(v) == 2)
-    middle = next(v for v in range(3) if mixed.out_count(v) == 1)
-    sink = next(v for v in range(3) if mixed.out_count(v) == 0)
-    assert vertex_egf(mixed, root, order) == SqrtPoly.of(
-        {-5: Fraction(3, 2), -3: Fraction(-1, 2)}
-    ).egf(order)
-    assert vertex_egf(mixed, middle, order) == (x(-1) - one).egf(order)
-    assert vertex_egf(mixed, sink, order) == (one - x(1)).egf(order)
-    # star pattern: the root carries two double edges
-    star = find_pattern(3, ((0, 0), (0, 0), (2, 2)))
-    star_root = next(v for v in range(3) if star.out_count(v) == 2)
-    f = vertex_egf(star, star_root, order)
-    expected = SqrtPoly.of(
-        {-7: Fraction(15, 4), -5: Fraction(-3, 2), -3: Fraction(1, 4), -1: Fraction(1, 2)}
-    )
-    assert f == expected.egf(order)
-    # path pattern: both internal vertices carry one double edge
-    path = find_pattern(3, ((0, 0), (1, 1), (1, 1)))
-    for v in range(3):
-        if path.out_count(v) == 1:
-            assert vertex_egf(path, v, order) == SqrtPoly.of(
-                {-3: Fraction(1, 2), -1: Fraction(-1, 2)}
-            ).egf(order)
 
 
 def test_counts_spot_values():
@@ -219,8 +173,7 @@ def test_tree_like_split():
     ok, bad = three_ret_split_check()
     assert ok, bad
     # the split halves sum to the class series
-    fa, fb = three_ret_split_sqrt_forms()
-    total = fa + fb
+    total = laurent_forms()["tree"] + laurent_forms()["non-tree"]
     rv3 = rv_egf(3, 12)
     for l in range(13):
         assert total.coeff_z(l) == rv3.coeff(l)
@@ -261,7 +214,8 @@ def test_component_sum():
 
 
 def test_component_sum_three_leaves():
-    # touches the seven-vertex catalog (a few seconds)
+    # exhausts the compressed shapes of up to six internal vertices; builds no
+    # pattern catalog (well under a second)
     assert rv_component_sum(3) == sum(rv_count(3, k) for k in range(7))
 
 

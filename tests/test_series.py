@@ -85,18 +85,6 @@ def test_from_z_poly_images():
     assert SqrtPoly.from_z_poly([1, -2]) == SqrtPoly.x_power(2)
 
 
-def test_two_ret_visible_display_identity():
-    # (3 - z + 7z^2 - 4z^3)(1 - z - x) / x^7 == (1-x)^2 (15 - 6x^2 + x^4 + 2x^6) / (8x^7)
-    x = SqrtPoly.x_power
-    one = SqrtPoly.of({0: 1})
-    lhs = (
-        SqrtPoly.from_z_poly([3, -1, 7, -4])
-        * (SqrtPoly.from_z_poly([1, -1]) - x(1))
-    ).exact_div(x(7))
-    rhs = ((one - x(1)) ** 2 * SqrtPoly.of({0: 15, 2: -6, 4: 1, 6: 2})).exact_div(x(7, 8))
-    assert lhs == rhs
-
-
 def test_diff_z():
     x = SqrtPoly.x_power
     assert x(1).diff_z() == x(-1, -1)
@@ -221,10 +209,10 @@ def test_fit_sqrt_poly_recovers_known_form():
 
 
 def test_twice_differentiated_block_form_matches_shift_series():
-    from phylocount.onecomp import block_series, block_sqrt_form
+    from phylocount.verify import laurent_forms
 
-    twice = block_sqrt_form(2).diff_z().diff_z()
-    assert twice.egf(20) == block_series(2, 2, 20)
+    # B2'' = F2; the displays check ties F2 to block_series(2, 2)
+    assert laurent_forms()[0, 2].diff_z().diff_z() == laurent_forms()[2, 2]
 
 
 def _binomial_by_fractions(alpha: Fraction, n: int) -> Fraction:
