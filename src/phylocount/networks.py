@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 
-from phylocount import canon
 from phylocount.records import Record
 
 
@@ -36,11 +35,13 @@ class Network(Record):
     `children[v]` lists the children of vertex v; `leaf_labels[v]` is the
     label of leaf v and 0 for non-leaves; `root` is the vertex expected to
     have indegree 0 and outdegree 1.  The validation result is computed once
-    per object and kept (see :func:`validation_errors`).
+    per object and kept (see :func:`validation_errors`), and so are, on a
+    valid network, the indegrees it counted: `_indeg`, a tuple the class
+    predicates and canonical codes read.
     """
 
     _fields = ("children", "leaf_labels", "root")
-    __slots__ = _fields + ("_errors",)
+    __slots__ = _fields + ("_errors", "_indeg")
     children: tuple[tuple[int, ...], ...]
     leaf_labels: tuple[int, ...]
     root: int
@@ -62,8 +63,8 @@ class Network(Record):
         try:
             return self._errors
         except AttributeError:  # the first request
-            errors = _find_errors(self)[0]
-            object.__setattr__(self, "_errors", errors)
+            errors, indeg, _ = _find_errors(self)
+            _keep(self, errors, indeg)
             return errors
 
     @property
@@ -196,6 +197,16 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
     return tuple(errors), indeg, order
 
 
+def _keep(net: Network, errors: tuple[str, ...], indeg: list[int], shared: dict | None = None) -> None:
+    """Keep a validation's verdict on the network and, when it is valid, the
+    indegrees it counted, as a tuple; `shared` maps each indegree tuple to
+    the one object that stands for it."""
+    object.__setattr__(net, "_errors", errors)
+    if not errors:
+        indeg = tuple(indeg)
+        object.__setattr__(net, "_indeg", indeg if shared is None else shared.setdefault(indeg, indeg))
+
+
 def is_valid(net: Network) -> bool:
     return not validation_errors(net)
 
@@ -209,10 +220,10 @@ def _require_valid(net: Network):
 def is_tree_child(net: Network) -> bool:
     """Every non-leaf vertex has at least one child that is not a reticulation."""
     _require_valid(net)
-    return _tree_child(net.children, net.indegrees())
+    return _tree_child(net.children, net._indeg)
 
 
-def _tree_child(children, indeg: list[int]) -> bool:
+def _tree_child(children, indeg: tuple[int, ...]) -> bool:
     # a vertex of a valid network has at most two children: its first and last
     for kids in children:
         if kids and indeg[kids[0]] == 2 and indeg[kids[-1]] == 2:
@@ -230,10 +241,10 @@ def is_normal(net: Network) -> bool:
     """Tree-child and shortcut-free: no reticulation has one parent that is
     an ancestor of the other."""
     _require_valid(net)
-    children, indeg = net.children, net.indegrees()
+    children, indeg = net.children, net._indeg
     if not _tree_child(children, indeg):
         return False
-    up = [0] * net.n  # each vertex with its ancestors, as a bitmask
+    up = [0] * len(children)  # each vertex with its ancestors, as a bitmask
     up[net.root] = 1 << net.root
     stack = [net.root]
     while stack:
@@ -260,8 +271,8 @@ def is_reticulation_visible(net: Network) -> bool:
     """Every reticulation is visible: it dominates some leaf, so deleting it
     cuts that leaf off the root."""
     _require_valid(net)
-    children, indeg = net.children, net.indegrees()
-    dom = [0] * net.n  # each vertex's dominators, itself included, as a bitmask
+    children, indeg = net.children, net._indeg
+    dom = [0] * len(children)  # each vertex's dominators, itself included, as a bitmask
     dom[net.root] = 1 << net.root
     rets = dominated = 0
     stack = [net.root]
@@ -292,8 +303,8 @@ def is_galled(net: Network) -> bool:
     and `verify` keeps the tree-cycle definition as a max-flow reference.
     """
     _require_valid(net)
-    children, indeg = net.children, net.indegrees()
-    head = [-1] * net.n  # each vertex's tree component, named by its top vertex
+    children, indeg = net.children, net._indeg
+    head = [-1] * len(children)  # each vertex's tree component, named by its top vertex
     head[net.root] = net.root
     stack = [net.root]
     while stack:
@@ -348,6 +359,10 @@ class ComponentGraph(Record):
         return all(count[v] == 1 for v in range(self.n) if v != self.root)
 
     def canonical_bytes(self) -> bytes:
+        # the one use of the general canonizer here, imported on first use:
+        # network codes and the oracle never load it
+        from phylocount import canon
+
         keys = [
             (self.attached[v], self.terminal_labels[v], v == self.root)
             for v in range(self.n)
@@ -362,7 +377,7 @@ def component_graph(net: Network) -> ComponentGraph:
     """The component graph of a valid network."""
     _require_valid(net)
     n = net.n
-    indeg = net.indegrees()
+    indeg = net._indeg
     parents = net.parents()
     comp_root: list[int] = [-1] * n  # representative network vertex per vertex
 
@@ -412,7 +427,8 @@ def component_graph(net: Network) -> ComponentGraph:
     )
 
 
-# leading byte of a canonical code: written in refinement order, or by canon
+# leading byte of a canonical code: written in refinement order, or the
+# least of the orders the tie search reaches
 _ORDER_TAG = b"o"
 _CANON_TAG = b"c"
 
@@ -423,41 +439,84 @@ def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
 
     Each vertex gets an invariant key: one character for the rank of its
     unfolding signature (see :func:`_unfolding`) among the network's
-    signatures, then its parents' keys, sorted and joined.  The rank fixes
-    the vertex kind and so how many parent keys follow, so a key reads back
-    uniquely.  When the keys are pairwise distinct, sorting by key orders
-    the vertices canonically and the code is the network written in that
-    order: a width byte, then per vertex its outdegree and its children's
-    places, or its label for a leaf, each number in one byte below 256
-    vertices and in `width` bytes from there.  When the signatures
-    themselves are pairwise distinct, the leading ranks alone settle that
-    order, so the vertices are sorted by signature and no parent key is
-    built; the bytes are the same.  Only when the keys tie does the general
-    canonizer of :mod:`phylocount.canon` run.  Distinctness is itself an
-    invariant, and the two kinds of code carry different tags, so they
-    never meet.  `unfolding` is ``_unfolding(net)`` when the caller has it
-    already.
+    signatures, then its parents' keys, sorted and joined (see
+    :func:`_keys`).  The rank fixes the vertex kind and so how many parent
+    keys follow, so a key reads back uniquely.  When the keys are pairwise
+    distinct, sorting by key orders the vertices canonically and the code is
+    the network written in that order (see :func:`_written`).  When the
+    signatures themselves are pairwise distinct, the leading ranks alone
+    settle that order, so the vertices are sorted by signature and no parent
+    key is built; the bytes are the same.  When the keys tie, the tie search
+    of :func:`_least_code` writes the network in each discrete order it
+    reaches and keeps the least.  Distinctness is itself an invariant, and
+    the two kinds of code carry different tags, so they never meet.
+    `unfolding` is ``_unfolding(net)`` when the caller has it already.
     """
     _require_valid(net)
-    n = net.n
     children, labels = net.children, net.leaf_labels
-    order, kinds, up = unfolding or _unfolding(net)
+    n = len(children)
+    order, _, up = unfolding or _unfolding(net, net._indeg)
     signatures = set(up)
     if len(signatures) == n:
         ranked = sorted(range(n), key=up.__getitem__)
     else:
         rank = {sig: chr(i) for i, sig in enumerate(sorted(signatures))}
-        key = [""] * n  # the parents' keys, until the vertex's own is complete
-        for v in order:
-            own = key[v] = rank[up[v]] + key[v]
-            for w in children[v]:
-                other = key[w]
-                key[w] = other + own if other <= own else own + other
+        key = _keys(children, order, [rank[sig] for sig in up])
         if len(set(key)) < n:
-            colors = [(kinds[v] << 20) | labels[v] for v in range(n)]
-            edges = [(u, w, 1) for u, w in net.edges()]
-            return _CANON_TAG + canon.canonical_bytes(n, edges, colors)
+            return _CANON_TAG + _least_code(children, labels, order, key)
         ranked = sorted(range(n), key=key.__getitem__)
+    return _ORDER_TAG + _written(children, labels, ranked)
+
+
+def _keys(children, order: list[int], own: list[str]) -> list[str]:
+    """Every vertex's key, top-down in the topological `order`: its `own`
+    character, then its parents' keys, sorted and joined."""
+    key = [""] * len(own)  # the parents' keys, until the vertex's own is complete
+    for v in order:
+        mine = key[v] = own[v] + key[v]
+        for w in children[v]:
+            other = key[w]
+            key[w] = other + mine if other <= mine else mine + other
+    return key
+
+
+def _least_code(children, labels, order: list[int], key: list[str]) -> bytes:
+    """The least network code over the orders that individualisation on the
+    keys reaches.
+
+    Pairwise distinct keys give one order, the vertices sorted by key.
+    Otherwise each member x of the tied class with the least key is marked
+    in turn: each vertex's own character becomes twice its key's rank, plus
+    one for x, the keys are computed again and the search goes on from
+    there.  The new keys split the old classes and set x apart, so the
+    search ends; it is equivariant and explores every branch, so the least
+    code is the same for isomorphic networks, and a code writes its
+    network out in full, so it differs for the rest."""
+    n = len(key)
+    ranked = sorted(range(n), key=key.__getitem__)
+    tied = next((key[u] for u, v in zip(ranked, ranked[1:]) if key[u] == key[v]), None)
+    if tied is None:
+        return _written(children, labels, ranked)
+    rank = {k: 2 * i for i, k in enumerate(sorted(set(key)))}
+    own = [chr(rank[k]) for k in key]
+    marked = chr(rank[tied] + 1)
+    best = None
+    for x in range(n):
+        if key[x] == tied:
+            mine, own[x] = own[x], marked
+            code = _least_code(children, labels, order, _keys(children, order, own))
+            own[x] = mine
+            if best is None or code < best:
+                best = code
+    return best
+
+
+def _written(children, labels, ranked: list[int]) -> bytes:
+    """The network written in the order `ranked`: a width byte, then per
+    vertex its outdegree and its children's places, or its label for a leaf,
+    each number in one byte below 256 vertices and in `width` bytes from
+    there."""
+    n = len(ranked)
     position = sorted(range(n), key=ranked.__getitem__)  # the inverse order
     values = []
     for v in ranked:
@@ -471,8 +530,8 @@ def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
             values += (0, labels[v])
     width = (n.bit_length() + 7) // 8
     if width == 1:
-        return _ORDER_TAG + b"\x01" + bytes(values)
-    return _ORDER_TAG + bytes([width]) + b"".join(x.to_bytes(width, "big") for x in values)
+        return b"\x01" + bytes(values)
+    return bytes([width]) + b"".join(x.to_bytes(width, "big") for x in values)
 
 
 def structure_key(net: Network, unfolding: tuple | None = None) -> str:
@@ -485,27 +544,26 @@ def structure_key(net: Network, unfolding: tuple | None = None) -> str:
     return (unfolding or _unfolding(net))[2][net.root]
 
 
-# the _KIND_ORDER place of each binary (indegree, outdegree) pair
-_DEGREE_KIND_ORDER = {
-    degrees: _KIND_ORDER[_classify(*degrees)] for degrees in ((0, 1), (1, 2), (2, 1), (1, 0))
-}
-
-
-def _validated_unfolding(net: Network) -> tuple[list[int], list[int], list[str]]:
+def _validated_unfolding(net: Network, shared: dict | None = None) -> tuple[list[int], list[int], list[str]]:
     """Validate a network that has not been validated yet, keep the verdict
-    as :func:`validation_errors` would, and return the unfolding (see
-    :func:`_unfolding`) built on the validation's indegrees and Kahn order,
-    so a new network pays for one order.  An invalid network raises
-    ValueError."""
+    and the indegrees as :func:`validation_errors` would (`shared` as in
+    :func:`_keep`), and return the unfolding (see :func:`_unfolding`) built
+    on the validation's indegrees and Kahn order, so a new network pays for
+    one order.  An invalid network raises ValueError."""
     errors, indeg, order = _find_errors(net)
-    object.__setattr__(net, "_errors", errors)
+    _keep(net, errors, indeg, shared)
     if errors:
         raise ValueError("invalid network: " + "; ".join(errors))
     return _unfolding(net, indeg, order)
 
 
-def _unfolding(net: Network, indeg: list[int] | None = None,
-               order: list[int] | None = None) -> tuple[list[int], list[int], list[str]]:
+# each kind's place in `_KIND_ORDER`, and that place as a signature's
+# first character
+_ROOT, _TREE, _RETICULATION, _LEAF = (_KIND_ORDER[kind] for kind in VertexKind)
+_ROOT_SIG, _TREE_SIG, _RETICULATION_SIG, _LEAF_SIG = map(str, (_ROOT, _TREE, _RETICULATION, _LEAF))
+
+
+def _unfolding(net: Network, indeg=None, order: list[int] | None = None) -> tuple[list[int], list[int], list[str]]:
     """A topological order (root first), every vertex's kind as its place in
     `_KIND_ORDER`, and every vertex's bottom-up signature.
 
@@ -517,40 +575,47 @@ def _unfolding(net: Network, indeg: list[int] | None = None,
     Ullman 1974, section 3.2).  The signatures compare as strings, and that
     order is the one :func:`canonical_code` ranks them by.
 
-    A caller that has the indegrees and a complete Kahn order (see
-    :func:`_topo_order`) passes both; otherwise they are computed here.
+    A caller that has the indegrees, and maybe a complete Kahn order (see
+    :func:`_topo_order`), passes them; otherwise they are computed here.
     """
     children, labels = net.children, net.leaf_labels
-    if order is None:
+    n = len(children)
+    if indeg is None:
         indeg = net.indegrees()
+    if order is None:
         order = _topo_order(net, indeg)
-        if len(order) != net.n:
+        if len(order) != n:
             raise ValueError("graph is not acyclic")
-    kinds = [0] * net.n
-    up: list = [None] * net.n
+    kinds = [0] * n
+    up: list = [None] * n
     for v in reversed(order):
         kids = children[v]
-        out = len(kids)
-        kind = kinds[v] = _DEGREE_KIND_ORDER.get((indeg[v], out))
-        if kind is None:
-            _classify(indeg[v], out)  # raises
-        if out == 2:
+        d, out = indeg[v], len(kids)
+        if out == 2 and d == 1:
+            kinds[v] = _TREE
             a, b = up[kids[0]], up[kids[1]]
-            up[v] = f"{kind}({a}{b})" if a <= b else f"{kind}({b}{a})"
-        elif out:
-            up[v] = f"{kind}({up[kids[0]]})"
-        else:  # a leaf
-            up[v] = f"{kind}:{labels[v]};"
+            up[v] = f"{_TREE_SIG}({a}{b})" if a <= b else f"{_TREE_SIG}({b}{a})"
+        elif not out and d == 1:
+            kinds[v] = _LEAF
+            up[v] = f"{_LEAF_SIG}:{labels[v]};"
+        elif out == 1 and d == 2:
+            kinds[v] = _RETICULATION
+            up[v] = f"{_RETICULATION_SIG}({up[kids[0]]})"
+        elif out == 1 and not d:
+            kinds[v] = _ROOT
+            up[v] = f"{_ROOT_SIG}({up[kids[0]]})"
+        else:
+            _classify(d, out)  # raises
     return order, kinds, up
 
 
-def _topo_order(net: Network, indeg: list[int]) -> list[int]:
+def _topo_order(net: Network, indeg) -> list[int]:
     """Kahn's order from the declared root; it misses every vertex on or
     below a cycle and every vertex the root does not reach."""
-    remaining = indeg[:]
+    children, remaining = net.children, list(indeg)
     order = [net.root]
     for v in order:  # the loop also visits what it appends
-        for w in net.children[v]:
+        for w in children[v]:
             remaining[w] -= 1
             if not remaining[w]:
                 order.append(w)

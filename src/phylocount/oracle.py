@@ -63,11 +63,15 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     the two child slots of a tree vertex removes most duplicate derivations
     and canonical codes remove the rest.  The search runs on an explicit
     stack inside this one generator, which hands the networks over in
-    batches of `_BATCH` with no chain of nested generators between.  Each
-    candidate is validated first, and the validation's Kahn order builds
-    its unfolding, which serves both its `structure_key` and, on a
-    collision, its canonical code.  The dedupe table goes with the
-    generator's frame, when the enumeration ends or is dropped.
+    batches of `_BATCH` with no chain of nested generators between.  The
+    search keeps each vertex's child tuple as it goes, so a complete
+    candidate is one tuple of them.  Each candidate is validated first; the
+    validation keeps the indegrees on the network, one tuple that every
+    candidate shares, for the class predicates and the canonical code, and
+    its Kahn order builds the candidate's unfolding, which serves both its
+    `structure_key` and, on a collision, its canonical code.  The dedupe
+    table goes with the generator's frame, when the enumeration ends or is
+    dropped.
     """
     check_cell(leaves, rets)
     t = leaves + rets - 1  # tree vertices
@@ -75,16 +79,20 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     first_ret = t + 1
     first_leaf = t + rets + 1
 
-    children: list[list[int]] = [[] for _ in range(n)]
+    # each vertex's child tuple, taken from these tables as children are
+    # put in place and taken back: every candidate shares one label tuple,
+    # every equal child tuple and, through `indegrees`, one indegree tuple,
+    # so the representatives kept in `seen` are small
+    single = [(w,) for w in range(n)]
+    pair = [[(v, w) for w in range(n)] for v in range(n)]
+    children: list[tuple[int, ...]] = [()] * n
+    leaf_labels = (0,) * first_leaf + tuple(range(1, leaves + 1))
+    indegrees: dict = {}
     slots: list[list] = [[0, None]]  # [vertex, minimum descriptor]
     ret_parent: dict[int, int] = {}  # open reticulations -> first parent
     # lazy canonical codes: the first member of a bucket is only canonized
     # when a second candidate shows up
     seen: dict = {}
-    # every candidate shares one label tuple and, through this table, every
-    # equal child tuple, so the representatives kept in `seen` are small
-    leaf_labels = (0,) * first_leaf + tuple(range(1, leaves + 1))
-    child_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
     used_t = used_r = 0
     label_mask = (1 << leaves) - 1
     # one frame per slot being filled: [slot index, its vertex, the vertex's
@@ -101,18 +109,30 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
             # the options in descriptor order: new tree (0,0) < new ret (1,0)
             # < close ret (2, w) < leaf (3, label), kept from the slot's
             # minimum on; only the open reticulations need a sort, since
-            # closing one re-inserts it at the end of `ret_parent`.  The last
-            # open slot takes no new reticulation, which could never close,
-            # and no leaf but the very last: nothing could fill what remains
+            # closing one re-inserts it at the end of `ret_parent`.  Options
+            # that leave nothing to complete the network are dropped:
+            # - the last open slot takes no new reticulation, which could
+            #   never close, and no leaf but the very last
+            # - no other slot takes the last label: the slots still open
+            #   would need a leaf
+            # - when u's other child slot comes next and is the last open
+            #   one, it must take something above this slot's descriptor:
+            #   so a new reticulation here needs another open one to close
+            #   there (u, with no child yet, opened none), and a leaf here
+            #   must be the smaller of the last two labels, with nothing
+            #   else left to place
             u, min_desc = slots[index]
             last = index + 1 == len(slots)
+            pair_last = index + 2 == len(slots) and slots[index + 1][0] == u
             found = [(0, 0)] if used_t < t else []
-            if used_r < rets and not last:
+            if used_r < rets and not last and (ret_parent or not pair_last):
                 found.append((1, 0))
             if ret_parent:
                 found += [(2, w) for w in sorted(ret_parent) if ret_parent[w] != u]
             m = label_mask
-            if last and (used_t < t or used_r < rets or ret_parent or m & (m - 1)):
+            if last or pair_last:
+                m = 0 if used_t < t or used_r < rets or ret_parent else m & -m
+            elif not m & (m - 1):
                 m = 0
             while m:
                 low = m & -m
@@ -125,11 +145,8 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
                 sibling = None if last or slots[index + 1][0] != u else slots[index + 1]
                 stack.append([index, u, sibling, found, None, None])
         elif used_t == t and used_r == rets and not ret_parent and not label_mask:
-            net = Network(
-                tuple([child_tuples.setdefault(kids, kids) for kids in map(tuple, children)]),
-                leaf_labels,
-            )
-            unfolding = _validated_unfolding(net)
+            net = Network(tuple(children), leaf_labels)
+            unfolding = _validated_unfolding(net, indegrees)
             key = structure_key(net, unfolding)
             bucket = seen.get(key)
             if bucket is None:
@@ -151,7 +168,8 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
             index, u, sibling, found, desc, displaced = frame
             if desc is not None:
                 kind, arg = desc
-                children[u].pop()
+                kids = children[u]
+                children[u] = single[kids[0]] if len(kids) == 2 else ()
                 if kind == 0:
                     used_t -= 1
                     del slots[-2:]
@@ -172,21 +190,22 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
             kind, arg = desc
             if kind == 0:
                 used_t += 1
-                children[u].append(used_t)
-                slots.append([used_t, None])
-                slots.append([used_t, None])
+                w = used_t
+                slots.append([w, None])
+                slots.append([w, None])
             elif kind == 1:
                 w = first_ret + used_r
                 used_r += 1
-                children[u].append(w)
                 ret_parent[w] = u
             elif kind == 2:
-                frame[5] = ret_parent.pop(arg)
-                children[u].append(arg)
-                slots.append([arg, None])
+                w = arg
+                frame[5] = ret_parent.pop(w)
+                slots.append([w, None])
             else:
-                children[u].append(first_leaf + arg - 1)
+                w = first_leaf + arg - 1
                 label_mask &= ~(1 << (arg - 1))
+            kids = children[u]
+            children[u] = pair[kids[0]][w] if kids else single[w]
             index += 1
             break
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -178,6 +179,38 @@ def test_count_table_and_blocks_replay_the_pinned_reference(capsys):
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != entry["stdout_sha256"]:
             wrong.append(key)
     assert REPLAY_SKIPPED <= entries.keys() and not wrong, wrong
+
+
+def _files_digest(directory: Path) -> str:
+    # the benchmark's digest of a written file set: each file's name and the
+    # sha256 of its bytes, in name order
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def test_enumerate_replays_the_pinned_reference(capsys, tmp_path, monkeypatch):
+    """Every `enumerate` call of the benchmark reference prints the pinned
+    bytes and writes the pinned files."""
+    entries = json.loads(REFERENCE.read_text())["entries"]
+    monkeypatch.chdir(tmp_path)
+    replayed, wrong = 0, []
+    for key, entry in entries.items():
+        argv = key.split()
+        if argv[0] != "enumerate":
+            continue
+        out_dir = tmp_path / argv[argv.index("--out") + 1]
+        code, out = run_cli(capsys, *argv)
+        if (
+            code != 0
+            or hashlib.sha256(out.encode()).hexdigest() != entry["stdout_sha256"]
+            or _files_digest(out_dir) != entry["files_sha256"]
+        ):
+            wrong.append(key)
+        shutil.rmtree(out_dir)
+        replayed += 1
+    assert replayed == 4 and not wrong, wrong
 
 
 @pytest.mark.parametrize("cls", ["gn", "rv"])

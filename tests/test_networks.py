@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import permutations
 
@@ -91,6 +92,45 @@ def test_predicates_reject_invalid_input():
     broken = Network.build([[1], [2, 2], []], {2: 1})
     with pytest.raises(ValueError):
         is_tree_child(broken)
+
+
+CODED_PREDICATES = (is_tree_child, is_normal, is_reticulation_visible, is_galled, canonical_code)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        Network.build([[1], [2, 2], []], {2: 1}),
+        Network.build([[1], [2, 3], [3, 1], [4], []], {4: 1}),
+        Network.build([[1], [2, 3], [], []], {2: 1, 3: 3}),
+        Network(((1,), (5, 2), ()), (0, 0, 1)),
+        Network.build([[1], [2, 3, 4], [], [], []], {2: 1, 3: 2, 4: 3}),
+    ],
+    ids=["parallel", "cycle", "labels", "out-of-range", "degrees"],
+)
+def test_invalid_networks_raise_before_any_indegree_is_read(net, monkeypatch):
+    def unread(self):
+        raise AssertionError("indegrees read")
+
+    monkeypatch.setattr(Network, "indegrees", unread)
+    for predicate in CODED_PREDICATES:
+        fresh = Network(net.children, net.leaf_labels, net.root)
+        for _ in range(2):  # a new verdict, then the kept one
+            with pytest.raises(ValueError, match="invalid network"):
+                predicate(fresh)
+        assert not hasattr(fresh, "_indeg")
+
+
+def test_validation_keeps_the_indegrees_as_a_tuple():
+    tree_child_violation = Network.build([[1], [2, 3], [4, 5], [4, 5], [6], [7], [], []], {6: 1, 7: 2})
+    for net in (single_edge_network(), gadget_network(), tree_child_violation):
+        assert not hasattr(net, "_indeg")  # only a validation keeps them
+        assert is_valid(net)
+        assert type(net._indeg) is tuple and list(net._indeg) == net.indegrees()
+        twin = pickle.loads(pickle.dumps(net))
+        assert twin == net and not hasattr(twin, "_indeg")
+        assert [p(twin) for p in CODED_PREDICATES] == [p(net) for p in CODED_PREDICATES]
+        assert twin._indeg == net._indeg
 
 
 def test_tree_child_violation():

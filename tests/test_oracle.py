@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from phylocount import networks, oracle
+from phylocount import canon, networks, oracle
 from phylocount.networks import (
     canonical_code,
     component_graph,
@@ -72,10 +72,13 @@ def test_enumerated_networks_validate_and_are_distinct():
 
 
 def test_enumerated_networks_share_labels_and_child_tuples():
-    # one enumeration builds one label tuple, and equal child tuples are one
-    # object, so the representatives its dedupe table keeps stay small
+    # one enumeration builds one label tuple and one indegree tuple, and
+    # equal child tuples are one object, so the representatives its dedupe
+    # table keeps stay small
     nets = list(enumerate_networks(3, 2))
     assert len({id(net.leaf_labels) for net in nets}) == 1
+    assert len({id(net._indeg) for net in nets}) == 1
+    assert list(nets[0]._indeg) == nets[0].indegrees()
     first = {}
     for net in nets:
         for kids in net.children:
@@ -159,14 +162,16 @@ def test_visible_and_normal_match_their_definitions():
     assert seen == {(True, True), (True, False), (False, False)}
 
 
-def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
-    # the pins of the traced benchmark self-check at (2, 4): one
-    # structure_key per candidate, the distinct networks, and one
-    # validation per canonical code and per predicate; the candidate's
-    # unfolding serves both its key and its code.  Each candidate is
-    # validated once, and that validation's Kahn order builds its
-    # unfolding: only a lazily coded representative orders itself again
-    calls = {"structure_key": 0, "validation_errors": 0, "_unfolding": 0, "_topo_order": 0, "_find_errors": 0}
+def _count_work(monkeypatch, leaves: int, rets: int):
+    # the cell's class counts, and how often the enumerator and its helpers
+    # ran: structure_key once per candidate, each validation, canonical code,
+    # unfolding, Kahn order and _find_errors pass, and the canonical codes
+    # that came out of the tie search
+    calls = dict.fromkeys(
+        ("structure_key", "validation_errors", "canonical_code", "tie_codes", "_unfolding", "_topo_order",
+         "_find_errors"),
+        0,
+    )
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -174,14 +179,47 @@ def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def coded(*args, **kwargs):
+        calls["canonical_code"] += 1
+        code = canonical_code(*args, **kwargs)
+        calls["tie_codes"] += code.startswith(networks._CANON_TAG)
+        return code
+
     monkeypatch.setattr(oracle, "structure_key", counted("structure_key", oracle.structure_key))
+    monkeypatch.setattr(oracle, "canonical_code", coded)
     monkeypatch.setattr(networks, "validation_errors", counted("validation_errors", networks.validation_errors))
     for name in ("_unfolding", "_topo_order", "_find_errors"):
         monkeypatch.setattr(networks, name, counted(name, getattr(networks, name)))
-    counts = oracle.count_by_class.__wrapped__(2, 4)
+    return oracle.count_by_class.__wrapped__(leaves, rets), calls
+
+
+def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
+    # the pins of the traced benchmark self-check at (2, 4): one
+    # structure_key per candidate, the distinct networks, and one
+    # validation per canonical code and per predicate; the candidate's
+    # unfolding serves both its key and its code.  Each candidate is
+    # validated once, and that validation's Kahn order builds its
+    # unfolding: only a lazily coded representative orders itself again
+    def general_canonizer(*args):
+        raise AssertionError("the network codes called canon.canonical_bytes")
+
+    monkeypatch.setattr(canon, "canonical_bytes", general_canonizer)
+    counts, calls = _count_work(monkeypatch, 2, 4)
     assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (8665, 3881, 18707)
     assert calls["_unfolding"] < 15729  # one per candidate, and per lazily coded representative
     assert (calls["_topo_order"], calls["_find_errors"]) == (10618, 8665)
+    # the codes whose refinement keys tie, among all the codes: the tie
+    # search breaks them without the general canonizer
+    assert (calls["tie_codes"], calls["canonical_code"]) == (259, 7064)
+
+
+def test_cell_5_1_work(monkeypatch):
+    # the benchmark's other fixed oracle cell, `count --class tc --leaves 5
+    # --rets 1 --method brute`, pinned the same way
+    counts, calls = _count_work(monkeypatch, 5, 1)
+    assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (4470, 2805, 14370)
+    assert calls["canonical_code"] == 3150
+    assert (calls["_topo_order"], calls["_find_errors"]) == (5955, 4470)
 
 
 def test_an_exhausted_enumeration_frees_its_dedupe_table():

@@ -40,7 +40,7 @@ def _fresh(script: str):
         ("count --class gn --leaves 12 --rets 4 --method series", NETWORK_MODULES | {"dataclasses"}),
         ("table --class gn --lmax 8 --kmax 7", NETWORK_MODULES),
         ("blocks --lmax 12 --kmax 3", NETWORK_MODULES | {"dataclasses"}),
-        ("count --class pn --leaves 2 --rets 1 --method brute", SERIES_MODULES | {"dataclasses"}),
+        ("count --class pn --leaves 2 --rets 1 --method brute", SERIES_MODULES | {"phylocount.canon", "dataclasses"}),
         ("count --class rv --leaves 17 --rets 3", NOT_VISIBLE | {"phylocount.io"}),
         ("count --class rv --leaves 12 --rets 4 --method dagsum", NOT_VISIBLE | {"phylocount.io"}),
         ("table --class rv --lmax 6 --kmax 3", NOT_VISIBLE | {"phylocount.io"}),
@@ -153,6 +153,29 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["count --class tc --leaves 4 --rets 1 --method brute", "enumerate --leaves 2 --rets 2 --out enum"],
+    ids=["brute", "enumerate"],
+)
+def test_cli_output_is_the_same_under_python_O(argv, tmp_path):
+    # `-O` strips `assert` statements: a fast path that leaned on one would
+    # answer differently, or not at all, when they are gone
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        cwd = tmp_path / ("optimized" if flags else "plain")
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "phylocount.cli", *argv.split()],
+            capture_output=True, text=True, check=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        )
+        written = {p.name: p.read_bytes() for p in (cwd / "enum").glob("*")}
+        outputs.append((done.stdout, written))
+    assert outputs[0][0]
+    assert outputs[0] == outputs[1]
 
 
 # public names nothing in the package reads yet, each kept for the ROADMAP
