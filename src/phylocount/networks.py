@@ -21,14 +21,6 @@ class VertexKind(enum.Enum):
     LEAF = "leaf"
 
 
-_KIND_ORDER = {
-    VertexKind.ROOT: 0,
-    VertexKind.TREE: 1,
-    VertexKind.RETICULATION: 2,
-    VertexKind.LEAF: 3,
-}
-
-
 class Network(Record):
     """Rooted binary leaf-labeled network.
 
@@ -37,7 +29,10 @@ class Network(Record):
     have indegree 0 and outdegree 1.  The validation result is computed once
     per object and kept (see :func:`validation_errors`), and so are, on a
     valid network, the indegrees it counted: `_indeg`, a tuple the class
-    predicates and canonical codes read.
+    predicates and canonical codes read.  The enumerator, whose networks
+    are valid by construction, keeps both without validating (see
+    :func:`phylocount.oracle.enumerate_networks`); a copy made from the
+    fields validates from scratch.
     """
 
     _fields = ("children", "leaf_labels", "root")
@@ -63,7 +58,7 @@ class Network(Record):
         try:
             return self._errors
         except AttributeError:  # the first request
-            errors, indeg, _ = _find_errors(self)
+            errors, indeg = _find_errors(self)
             _keep(self, errors, indeg)
             return errors
 
@@ -119,16 +114,15 @@ def validation_errors(net: Network) -> list[str]:
     return list(net._validation_errors)
 
 
-def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
-    """The invariant violations, the indegrees and Kahn's order from the
-    root (see :func:`_topo_order`).  The order is complete when the errors
-    are empty; the indegrees and the order are empty or partial otherwise."""
+def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int]]:
+    """The invariant violations and the indegrees; the indegrees are empty
+    or partial when the errors are not empty."""
     children, labels, root = net.children, net.leaf_labels, net.root
     n = len(children)
     if not 0 <= root < n:
-        return (f"declared root {root} is out of range",), [], []
+        return (f"declared root {root} is out of range",), []
     if len(labels) != n:
-        return (f"{len(labels)} leaf labels for {n} vertices",), [], []
+        return (f"{len(labels)} leaf labels for {n} vertices",), []
     errors = []
     # one pass over the edges: simplicity (a repeated child would be a
     # parallel edge), child range, and the indegrees, which are only counted
@@ -140,7 +134,7 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
         for w in kids:
             if not 0 <= w < n:
                 errors.append(f"vertex {v} has an out-of-range child")
-                return tuple(errors), indeg, []
+                return tuple(errors), indeg
             indeg[w] += 1
     # one pass over the vertices: roots, leaves, and the degrees of labeled
     # and of internal vertices
@@ -170,9 +164,8 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
     # that, or is already faulty, pays for the search that names the fault:
     # depth first, on an explicit stack of child iterators, stopping at the
     # first edge back onto the stack
-    order = [] if errors else _topo_order(net, indeg)
-    if len(order) == n:
-        return (), indeg, order
+    if not errors and len(_topo_order(net, indeg)) == n:
+        return (), indeg
     state = [0] * n  # 0 unvisited, 1 on stack, 2 done
     state[root] = 1
     path = [root]
@@ -194,17 +187,17 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int], list[int]]:
     unreachable = [v for v in range(n) if not state[v]]
     if unreachable:
         errors.append(f"vertices {unreachable} are unreachable from the root")
-    return tuple(errors), indeg, order
+    return tuple(errors), indeg
 
 
-def _keep(net: Network, errors: tuple[str, ...], indeg: list[int], shared: dict | None = None) -> None:
-    """Keep a validation's verdict on the network and, when it is valid, the
-    indegrees it counted, as a tuple; `shared` maps each indegree tuple to
-    the one object that stands for it."""
+def _keep(net: Network, errors: tuple[str, ...], indeg) -> None:
+    """Keep a verdict on the network and, when it is valid, the indegrees,
+    as a tuple (a tuple passed in is kept as the same object).  Outside a
+    validation only the enumerator calls this, with the verdict its slot
+    scheme guarantees."""
     object.__setattr__(net, "_errors", errors)
     if not errors:
-        indeg = tuple(indeg)
-        object.__setattr__(net, "_indeg", indeg if shared is None else shared.setdefault(indeg, indeg))
+        object.__setattr__(net, "_indeg", tuple(indeg))
 
 
 def is_valid(net: Network) -> bool:
@@ -450,12 +443,12 @@ def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
     of :func:`_least_code` writes the network in each discrete order it
     reaches and keeps the least.  Distinctness is itself an invariant, and
     the two kinds of code carry different tags, so they never meet.
-    `unfolding` is ``_unfolding(net)`` when the caller has it already.
+    `unfolding` is ``_unfolding(net, indeg)`` when the caller has it already.
     """
     _require_valid(net)
     children, labels = net.children, net.leaf_labels
     n = len(children)
-    order, _, up = unfolding or _unfolding(net, net._indeg)
+    order, up = unfolding or _unfolding(net, net._indeg)
     signatures = set(up)
     if len(signatures) == n:
         ranked = sorted(range(n), key=up.__getitem__)
@@ -536,77 +529,58 @@ def _written(children, labels, ranked: list[int]) -> bytes:
 
 def structure_key(net: Network, unfolding: tuple | None = None) -> str:
     """Cheap isomorphism invariant: the root's unfolding signature, one flat
-    string (see :func:`_unfolding`, which the caller may pass in).
+    string (see :func:`_unfolding`, which the caller may pass in; without
+    it the network is validated first).
 
     Equal keys do not in general imply isomorphism (sharing is lost), so this
     only serves as a fast pre-filter before :func:`canonical_code`.
     """
-    return (unfolding or _unfolding(net))[2][net.root]
+    if unfolding is None:
+        _require_valid(net)
+        unfolding = _unfolding(net, net._indeg)
+    return unfolding[1][net.root]
 
 
-def _validated_unfolding(net: Network, shared: dict | None = None) -> tuple[list[int], list[int], list[str]]:
-    """Validate a network that has not been validated yet, keep the verdict
-    and the indegrees as :func:`validation_errors` would (`shared` as in
-    :func:`_keep`), and return the unfolding (see :func:`_unfolding`) built
-    on the validation's indegrees and Kahn order, so a new network pays for
-    one order.  An invalid network raises ValueError."""
-    errors, indeg, order = _find_errors(net)
-    _keep(net, errors, indeg, shared)
-    if errors:
-        raise ValueError("invalid network: " + "; ".join(errors))
-    return _unfolding(net, indeg, order)
+# a signature's first character: the vertex kind's place in `VertexKind`
+_ROOT_SIG, _TREE_SIG, _RETICULATION_SIG, _LEAF_SIG = "0", "1", "2", "3"
 
 
-# each kind's place in `_KIND_ORDER`, and that place as a signature's
-# first character
-_ROOT, _TREE, _RETICULATION, _LEAF = (_KIND_ORDER[kind] for kind in VertexKind)
-_ROOT_SIG, _TREE_SIG, _RETICULATION_SIG, _LEAF_SIG = map(str, (_ROOT, _TREE, _RETICULATION, _LEAF))
+def _unfolding(net: Network, indeg) -> tuple[list[int], list[str]]:
+    """Kahn's topological order from the root (see :func:`_topo_order`) and
+    every vertex's bottom-up signature, built on `indeg`: the indegrees a
+    validation kept (`_indeg`), or the enumerator's.
 
+    A signature is one string: the vertex kind's place in `VertexKind`, then
+    `:label;` for a leaf, or the sorted signatures of the children inside
+    `(...)`.  The encoding is prefix-free, so two signatures are equal iff
+    the unfoldings (the trees obtained by copying every shared subnetwork)
+    are equal; this is the string form of the classic tree-isomorphism code
+    (Aho, Hopcroft & Ullman 1974, section 3.2).  The signatures compare as
+    strings, and that order is the one :func:`canonical_code` ranks them by.
 
-def _unfolding(net: Network, indeg=None, order: list[int] | None = None) -> tuple[list[int], list[int], list[str]]:
-    """A topological order (root first), every vertex's kind as its place in
-    `_KIND_ORDER`, and every vertex's bottom-up signature.
-
-    A signature is one string: the kind's place, then `:label;` for a leaf,
-    or the sorted signatures of the children inside `(...)`.  The encoding
-    is prefix-free, so two signatures are equal iff the unfoldings (the
-    trees obtained by copying every shared subnetwork) are equal; this is the
-    string form of the classic tree-isomorphism code (Aho, Hopcroft &
-    Ullman 1974, section 3.2).  The signatures compare as strings, and that
-    order is the one :func:`canonical_code` ranks them by.
-
-    A caller that has the indegrees, and maybe a complete Kahn order (see
-    :func:`_topo_order`), passes them; otherwise they are computed here.
+    An order that misses a vertex, on a cycle or out of the root's reach,
+    raises ValueError, and so does a vertex with no binary kind.
     """
     children, labels = net.children, net.leaf_labels
-    n = len(children)
-    if indeg is None:
-        indeg = net.indegrees()
-    if order is None:
-        order = _topo_order(net, indeg)
-        if len(order) != n:
-            raise ValueError("graph is not acyclic")
-    kinds = [0] * n
-    up: list = [None] * n
+    order = _topo_order(net, indeg)
+    if len(order) != len(children):
+        raise ValueError("no topological order from the root reaches every vertex")
+    up: list = [None] * len(children)
     for v in reversed(order):
         kids = children[v]
         d, out = indeg[v], len(kids)
         if out == 2 and d == 1:
-            kinds[v] = _TREE
             a, b = up[kids[0]], up[kids[1]]
             up[v] = f"{_TREE_SIG}({a}{b})" if a <= b else f"{_TREE_SIG}({b}{a})"
         elif not out and d == 1:
-            kinds[v] = _LEAF
             up[v] = f"{_LEAF_SIG}:{labels[v]};"
         elif out == 1 and d == 2:
-            kinds[v] = _RETICULATION
             up[v] = f"{_RETICULATION_SIG}({up[kids[0]]})"
         elif out == 1 and not d:
-            kinds[v] = _ROOT
             up[v] = f"{_ROOT_SIG}({up[kids[0]]})"
         else:
             _classify(d, out)  # raises
-    return order, kinds, up
+    return order, up
 
 
 def _topo_order(net: Network, indeg) -> list[int]:

@@ -24,7 +24,8 @@ from phylocount.networks import (
     is_valid,
     structure_key,
     validation_errors,
-    _validated_unfolding,
+    _keep,
+    _unfolding,
 )
 from phylocount.records import Record
 
@@ -65,13 +66,17 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
     stack inside this one generator, which hands the networks over in
     batches of `_BATCH` with no chain of nested generators between.  The
     search keeps each vertex's child tuple as it goes, so a complete
-    candidate is one tuple of them.  Each candidate is validated first; the
-    validation keeps the indegrees on the network, one tuple that every
-    candidate shares, for the class predicates and the canonical code, and
-    its Kahn order builds the candidate's unfolding, which serves both its
-    `structure_key` and, on a collision, its canonical code.  The dedupe
-    table goes with the generator's frame, when the enumeration ends or is
-    dropped.
+    candidate is one tuple of them.  The slot scheme builds only valid
+    networks (binary, rooted, each label on one leaf, and acyclic: a
+    reticulation's two parents are distinct, and it gets its child slot
+    only once both are in place) and numbers the vertices root, tree
+    vertices, reticulations, leaves, so every candidate has one indegree
+    tuple.  Each candidate keeps the empty verdict and that tuple without
+    being validated (see :func:`phylocount.networks._keep`), for the class
+    predicates and the canonical code; its unfolding, built on the tuple,
+    serves both its `structure_key` and, on a collision, its canonical
+    code.  The dedupe table goes with the generator's frame, when the
+    enumeration ends or is dropped.
     """
     check_cell(leaves, rets)
     t = leaves + rets - 1  # tree vertices
@@ -81,13 +86,13 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
 
     # each vertex's child tuple, taken from these tables as children are
     # put in place and taken back: every candidate shares one label tuple,
-    # every equal child tuple and, through `indegrees`, one indegree tuple,
-    # so the representatives kept in `seen` are small
+    # one indegree tuple and every equal child tuple, so the representatives
+    # kept in `seen` are small
     single = [(w,) for w in range(n)]
     pair = [[(v, w) for w in range(n)] for v in range(n)]
     children: list[tuple[int, ...]] = [()] * n
     leaf_labels = (0,) * first_leaf + tuple(range(1, leaves + 1))
-    indegrees: dict = {}
+    indeg = (0,) + (1,) * t + (2,) * rets + (1,) * leaves
     slots: list[list] = [[0, None]]  # [vertex, minimum descriptor]
     ret_parent: dict[int, int] = {}  # open reticulations -> first parent
     # lazy canonical codes: the first member of a bucket is only canonized
@@ -146,7 +151,8 @@ def enumerate_networks(leaves: int, rets: int) -> Iterator[Network]:
                 stack.append([index, u, sibling, found, None, None])
         elif used_t == t and used_r == rets and not ret_parent and not label_mask:
             net = Network(tuple(children), leaf_labels)
-            unfolding = _validated_unfolding(net, indegrees)
+            _keep(net, (), indeg)
+            unfolding = _unfolding(net, indeg)
             key = structure_key(net, unfolding)
             bucket = seen.get(key)
             if bucket is None:

@@ -27,6 +27,8 @@ CLOSED_FORM_THRESHOLDS = {2: 1, 3: 2}
 # pattern catalog per vertex count: size and sorted symmetry factors
 CATALOGS = {3: (3, [1, 1, 2]), 4: (13, [1] * 9 + [2, 2, 2, 6])}
 MATRIX_CELLS = [(l, k) for l in (1, 2, 3) for k in range(0, 4)] + [(2, 4), (2, 5)]
+# the cells whose enumerated networks the registry validates from scratch
+FRESH_CELLS = [(l, k) for l in range(1, 6) for k in range(6 - l)]
 SPOT_VALUES = {(2, 2): {"gn": 3, "rv": 5}, (3, 1): dict.fromkeys(("pn", "rv", "gn", "tc"), 21)}
 
 
@@ -407,13 +409,19 @@ def _tree_count_at_4():
 
 
 def _enumerated_networks():
-    for l, k in ((2, 2), (3, 1), (2, 3)):
-        nets = list(oracle.enumerate_networks(l, k))
+    # the enumerator keeps a verdict on each network it builds without
+    # validating it, so the checks run on fresh copies, which keep none and
+    # validate from scratch: every network of every cell of at most 10
+    # vertices
+    for l, k in FRESH_CELLS:
+        nets = [
+            networks.Network(net.children, net.leaf_labels, net.root) for net in oracle.enumerate_networks(l, k)
+        ]
+        if any(networks.validation_errors(net) for net in nets):
+            return False
         if len({networks.canonical_code(net) for net in nets}) != len(nets):
             return False
         for net in nets:
-            if networks.validation_errors(net):
-                return False
             cg = networks.component_graph(net)
             if not networks.is_galled(net) == cg.stripped_is_tree() == _galled_by_max_flow(net):
                 return False

@@ -9,8 +9,9 @@ import tracemalloc
 
 import pytest
 
-from phylocount import canon, networks, oracle
+from phylocount import canon, networks, oracle, verify
 from phylocount.networks import (
+    Network,
     canonical_code,
     component_graph,
     is_galled,
@@ -60,8 +61,12 @@ def test_tiny_cells():
 
 
 def test_enumerated_networks_validate_and_are_distinct():
-    for l, k in ((2, 1), (2, 2), (3, 1)):
-        nets = list(enumerate_networks(l, k))
+    # the enumerator keeps a verdict on each network without validating it,
+    # so each is validated here as a fresh copy, which keeps none: every
+    # cell of at most 10 vertices, as the registry check, and the two
+    # 12-vertex cells of the benchmark
+    for l, k in verify.FRESH_CELLS + [(2, 4), (5, 1)]:
+        nets = [Network(net.children, net.leaf_labels, net.root) for net in oracle.enumerate_networks(l, k)]
         codes = set()
         for net in nets:
             assert not validation_errors(net)
@@ -71,18 +76,47 @@ def test_enumerated_networks_validate_and_are_distinct():
         assert len(codes) == len(nets)
 
 
+# invalid networks that the enumerator could pass off as valid ones: each
+# with the cell it claims, the indegrees it keeps and the fault a fresh
+# validation names.  The parallel edge also upsets the max-flow galled
+# reference; the leaf label is caught by validation alone
+FORGED = [
+    ((1, 1), Network(((1,), (2, 2), (3,), ()), (0, 0, 0, 1)), (0, 1, 2, 1), "parallel edges out of vertex 1"),
+    ((1, 0), Network(((1,), ()), (0, 2)), (0, 1), r"leaf labels \[2\] are not a bijection"),
+]
+
+
+@pytest.mark.parametrize("cell, net, indeg, fault", FORGED, ids=["parallel-edge", "leaf-label"])
+def test_a_forged_verdict_fails_both_fresh_validations(cell, net, indeg, fault, monkeypatch):
+    # the enumerator, also yielding the forged network in its cell with the
+    # kept verdict of a valid one
+    def forging(leaves, rets, enumerate_networks=oracle.enumerate_networks):
+        if (leaves, rets) == cell:
+            networks._keep(net, (), indeg)
+            yield net
+        yield from enumerate_networks(leaves, rets)
+
+    monkeypatch.setattr(oracle, "enumerate_networks", forging)
+    assert net in oracle.enumerate_networks(*cell) and not validation_errors(net)  # the verdict is forged
+    (check,) = [entry for entry in verify.CHECKS if entry[2] is verify._enumerated_networks]
+    assert not verify.run_check(*check).ok
+    with pytest.raises(AssertionError, match=fault):
+        test_enumerated_networks_validate_and_are_distinct()
+
+
 def test_enumerated_networks_share_labels_and_child_tuples():
-    # one enumeration builds one label tuple and one indegree tuple, and
-    # equal child tuples are one object, so the representatives its dedupe
-    # table keeps stay small
-    nets = list(enumerate_networks(3, 2))
-    assert len({id(net.leaf_labels) for net in nets}) == 1
-    assert len({id(net._indeg) for net in nets}) == 1
-    assert list(nets[0]._indeg) == nets[0].indegrees()
-    first = {}
-    for net in nets:
-        for kids in net.children:
-            assert first.setdefault(kids, kids) is kids
+    # one enumeration builds one label tuple and one indegree tuple, the
+    # slot scheme's, and equal child tuples are one object, so the
+    # representatives its dedupe table keeps stay small
+    for cell in ((3, 2), (2, 4), (5, 1)):
+        nets = list(enumerate_networks(*cell))
+        assert len({id(net.leaf_labels) for net in nets}) == 1
+        assert len({id(net._indeg) for net in nets}) == 1
+        first = {}
+        for net in nets:
+            assert list(net._indeg) == net.indegrees()
+            for kids in net.children:
+                assert first.setdefault(kids, kids) is kids
 
 
 def test_one_reticulation_coincidence():
@@ -166,7 +200,8 @@ def _count_work(monkeypatch, leaves: int, rets: int):
     # the cell's class counts, and how often the enumerator and its helpers
     # ran: structure_key once per candidate, each validation, canonical code,
     # unfolding, Kahn order and _find_errors pass, and the canonical codes
-    # that came out of the tie search
+    # that came out of the tie search.  The enumerator calls its own
+    # reference to _unfolding, so that is counted too
     calls = dict.fromkeys(
         ("structure_key", "validation_errors", "canonical_code", "tie_codes", "_unfolding", "_topo_order",
          "_find_errors"),
@@ -190,6 +225,7 @@ def _count_work(monkeypatch, leaves: int, rets: int):
     monkeypatch.setattr(networks, "validation_errors", counted("validation_errors", networks.validation_errors))
     for name in ("_unfolding", "_topo_order", "_find_errors"):
         monkeypatch.setattr(networks, name, counted(name, getattr(networks, name)))
+    monkeypatch.setattr(oracle, "_unfolding", networks._unfolding)
     return oracle.count_by_class.__wrapped__(leaves, rets), calls
 
 
@@ -197,17 +233,20 @@ def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
     # the pins of the traced benchmark self-check at (2, 4): one
     # structure_key per candidate, the distinct networks, and one
     # validation per canonical code and per predicate; the candidate's
-    # unfolding serves both its key and its code.  Each candidate is
-    # validated once, and that validation's Kahn order builds its
-    # unfolding: only a lazily coded representative orders itself again
+    # unfolding serves both its key and its code.  No candidate is
+    # validated from scratch: each keeps the enumerator's verdict, and its
+    # unfolding builds the one Kahn order it needs; only a lazily coded
+    # representative orders itself again
     def general_canonizer(*args):
         raise AssertionError("the network codes called canon.canonical_bytes")
 
     monkeypatch.setattr(canon, "canonical_bytes", general_canonizer)
     counts, calls = _count_work(monkeypatch, 2, 4)
     assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (8665, 3881, 18707)
-    assert calls["_unfolding"] < 15729  # one per candidate, and per lazily coded representative
-    assert (calls["_topo_order"], calls["_find_errors"]) == (10618, 8665)
+    # one unfolding, and so one Kahn order, per candidate and per lazily
+    # coded representative
+    assert calls["_unfolding"] == calls["_topo_order"] == 10618
+    assert calls["_find_errors"] == 0
     # the codes whose refinement keys tie, among all the codes: the tie
     # search breaks them without the general canonizer
     assert (calls["tie_codes"], calls["canonical_code"]) == (259, 7064)
@@ -219,7 +258,7 @@ def test_cell_5_1_work(monkeypatch):
     counts, calls = _count_work(monkeypatch, 5, 1)
     assert (calls["structure_key"], counts.pn, calls["validation_errors"]) == (4470, 2805, 14370)
     assert calls["canonical_code"] == 3150
-    assert (calls["_topo_order"], calls["_find_errors"]) == (5955, 4470)
+    assert (calls["_topo_order"], calls["_find_errors"]) == (5955, 0)
 
 
 def test_an_exhausted_enumeration_frees_its_dedupe_table():

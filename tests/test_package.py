@@ -223,6 +223,20 @@ def test_every_public_function_has_a_reader():
     assert unread == READER_PENDING
 
 
+def test_only_the_enumerator_keeps_a_verdict_it_did_not_validate():
+    # `networks._keep` records a verdict as given; outside `networks`, only
+    # the enumerator, whose slot scheme builds valid networks alone, may
+    # read it (imports aside)
+    readers = {
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.stem != "networks"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and "_keep" in set(_read_names(node))
+    }
+    assert readers == {"oracle.enumerate_networks"}
+
+
 def test_laurent_forms_are_entered_only_in_verify():
     # the hand-entered displays live in one table, verify.laurent_forms
     named = [
