@@ -7,7 +7,8 @@ binary phylogenetic networks:
 - ``onecomp``   one-component building-block counts and their series
 - ``networks``  the network data model, class predicates, component graphs
 - ``canon``     canonical forms and automorphism counts for small DAGs, and
-                the DAG patterns of the visible pattern sum
+                the DAG patterns of the visible pattern sum, which are also
+                the shapes of component graphs
 - ``galled``    galled-network counts (series, closed forms, tree sums)
 - ``retvis``    reticulation-visible counts via DAG-pattern sums
 - ``oracle``    brute-force enumeration and the saturated-network analysis

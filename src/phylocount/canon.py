@@ -1,5 +1,6 @@
 """Canonical forms and automorphism counts for small rooted directed
-multigraphs, and the DAG patterns of the visible-network pattern sum.
+multigraphs, and the DAG patterns of the visible-network pattern sum, which
+are also the shapes of network component graphs.
 
 The canonizer is a standard colour-refinement / individualisation search.  It
 is exact: two inputs get the same canonical bytes iff they are isomorphic as
@@ -173,7 +174,10 @@ def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
 
 class DagPattern(Record):
     """Unlabeled rooted multigraph DAG: root of indegree 0, every other vertex
-    of weighted indegree exactly 2, edge multiplicities 1 or 2."""
+    of weighted indegree exactly 2, edge multiplicities 1 or 2, a vertex with
+    one parent on one double edge.  A pattern of the visible pattern sum, or
+    the shape of a network's component graph (its weighted-indegree-2 lemma
+    is checked here on every component graph built)."""
 
     __slots__ = _fields = ("m", "edges", "root")
     m: int
@@ -190,18 +194,20 @@ class DagPattern(Record):
             raise ValueError("root must have indegree 0")
         if any(indeg[v] != 2 for v in range(m) if v != root):
             raise ValueError("non-root vertices must have weighted indegree 2")
+        if len({(src, dst) for src, dst, _ in edges}) < len(edges):
+            raise ValueError("two single edges from one parent must be one double edge")
         self._set(m, edges, root)
 
-    def children(self, v: int) -> list[tuple[int, int]]:
-        return [(dst, mult) for src, dst, mult in self.edges if src == v]
+    def profile(self, v: int) -> tuple[int, int]:
+        """(c, c1): the number of distinct children of v and how many of
+        them hang on a double edge, the key of :func:`onecomp.block_series`."""
+        mults = [mult for src, _, mult in self.edges if src == v]
+        return len(mults), mults.count(2)
 
-    def out_count(self, v: int) -> int:
-        """Number of distinct children (a double edge counts one child)."""
-        return len(self.children(v))
-
-    def double_count(self, v: int) -> int:
-        """Number of children attached by a double edge."""
-        return sum(1 for _, mult in self.children(v) if mult == 2)
+    def is_treelike(self) -> bool:
+        """Every edge is double, so every non-root vertex has one parent:
+        the shape of a galled network's component graph."""
+        return all(mult == 2 for _, _, mult in self.edges)
 
     def canonical_bytes(self) -> bytes:
         colors = [1 if v == self.root else 0 for v in range(self.m)]

@@ -291,9 +291,9 @@ def is_galled(net: Network) -> bool:
     """Every reticulation sits in a tree cycle: its two parents lie in one
     tree component.
 
-    Equivalently, the component graph with arrows ignored is a tree (Gunawan,
-    Lu & Zhang, Bioinformatics 2016); the tests keep that as a second route
-    and `verify` keeps the tree-cycle definition as a max-flow reference.
+    Equivalently, the component graph is tree-like, every edge double
+    (Gunawan, Lu & Zhang, Bioinformatics 2016); `verify` keeps that as a
+    second route and the tree-cycle definition as a max-flow reference.
     """
     _require_valid(net)
     children, indeg = net.children, net._indeg
@@ -320,54 +320,41 @@ def is_galled(net: Network) -> bool:
 class ComponentGraph(Record):
     """Compressed view of a network: one vertex per tree component.
 
-    Edges record how reticulations join components; `double` marks the case
-    where both reticulation edges come from the same component.  Labels of
+    `pattern` is the shape, a :class:`phylocount.canon.DagPattern`: an edge
+    of multiplicity 1 is a reticulation edge from one of two components, one
+    of multiplicity 2 a pair of them from the same component.  Labels of
     leaves sit either attached to their component (`attached`) or, for a
     single-leaf terminal component under a double edge, directly on the
     component vertex (`terminal_labels`).
     """
 
-    __slots__ = _fields = ("n", "root", "edges", "attached", "terminal_labels")
-    n: int
-    root: int
-    edges: tuple[tuple[int, int, bool], ...]
+    __slots__ = _fields = ("pattern", "attached", "terminal_labels")
+    pattern: "canon.DagPattern"
     attached: tuple[tuple[int, ...], ...]
     terminal_labels: tuple[int, ...]  # 0 where absent
 
-    def __init__(self, n: int, root: int, edges, attached, terminal_labels):
-        self._set(n, root, edges, attached, terminal_labels)
-
-    def weighted_indegrees(self) -> list[int]:
-        indeg = [0] * self.n
-        for _, dst, double in self.edges:
-            indeg[dst] += 2 if double else 1
-        return indeg
-
-    def stripped_is_tree(self) -> bool:
-        """True iff ignoring arrows leaves each non-root component exactly one
-        incoming edge (the component graph of a galled network)."""
-        count = [0] * self.n
-        for _, dst, _ in self.edges:
-            count[dst] += 1
-        return all(count[v] == 1 for v in range(self.n) if v != self.root)
+    def __init__(self, pattern, attached, terminal_labels):
+        self._set(pattern, attached, terminal_labels)
 
     def canonical_bytes(self) -> bytes:
-        # the one use of the general canonizer here, imported on first use:
-        # network codes and the oracle never load it
         from phylocount import canon
 
+        pattern = self.pattern
         keys = [
-            (self.attached[v], self.terminal_labels[v], v == self.root)
-            for v in range(self.n)
+            (self.attached[v], self.terminal_labels[v], v == pattern.root)
+            for v in range(pattern.m)
         ]
         ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
         colors = [ranks[key] for key in keys]
-        edges = [(u, v, 2 if double else 1) for u, v, double in self.edges]
-        return canon.canonical_bytes(self.n, edges, colors)
+        return canon.canonical_bytes(pattern.m, pattern.edges, colors)
 
 
 def component_graph(net: Network) -> ComponentGraph:
     """The component graph of a valid network."""
+    # the shape is a canon pattern, imported on first use: network codes and
+    # the oracle never load canon
+    from phylocount import canon
+
     _require_valid(net)
     n = net.n
     indeg = net._indeg
@@ -389,32 +376,26 @@ def component_graph(net: Network) -> ComponentGraph:
         walk_up(v)
     reps = [net.root] + sorted(v for v in range(n) if indeg[v] == 2)
     index = {rep: i for i, rep in enumerate(reps)}
-    edges: list[tuple[int, int, bool]] = []
+    edges: list[tuple[int, int, int]] = []
     for r in reps[1:]:
         sources = [index[comp_root[p]] for p in parents[r]]
         dst = index[r]
         if sources[0] == sources[1]:
-            edges.append((sources[0], dst, True))
+            edges.append((sources[0], dst, 2))
         else:
-            edges.append((sources[0], dst, False))
-            edges.append((sources[1], dst, False))
+            edges.append((sources[0], dst, 1))
+            edges.append((sources[1], dst, 1))
     attached: list[list[int]] = [[] for _ in reps]
     for v in range(n):
         if net.leaf_labels[v]:
             attached[index[comp_root[v]]].append(net.leaf_labels[v])
-    has_out = [False] * len(reps)
-    for src, _, _ in edges:
-        has_out[src] = True
+    has_out = {src for src, _, _ in edges}
     terminal = [0] * len(reps)
-    for i in range(1, len(reps)):
-        double_in = any(dst == i and double for _, dst, double in edges)
-        if not has_out[i] and len(attached[i]) == 1 and double_in:
-            terminal[i] = attached[i][0]
-            attached[i] = []
+    for _, dst, mult in edges:
+        if mult == 2 and dst not in has_out and len(attached[dst]) == 1:
+            terminal[dst] = attached[dst].pop()
     return ComponentGraph(
-        n=len(reps),
-        root=0,
-        edges=tuple(sorted(edges)),
+        pattern=canon.DagPattern(len(reps), tuple(sorted(edges))),
         attached=tuple(tuple(sorted(a)) for a in attached),
         terminal_labels=tuple(terminal),
     )

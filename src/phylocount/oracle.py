@@ -396,6 +396,8 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     directly from `tc`: contract reticulation-to-tree edges, mark tree-tree
     edges as doubles, turn tree-parented leaves into labeled terminal
     vertices and keep reticulation-parented leaves attached."""
+    from phylocount import canon  # imported here: a brute count never loads canon
+
     indeg = tc.indegrees()
     parents = tc.parents()
     top = tc.children[tc.root][0]
@@ -430,22 +432,20 @@ def expected_compressed_form(tc: Network) -> ComponentGraph:
     terminal = [0] * n
     for leaf in terminal_leaves:
         terminal[comp_ids[leaf]] = tc.leaf_labels[leaf]
-        edges.append((comp_ids[find(parents[leaf][0])], comp_ids[leaf], True))
+        edges.append((comp_ids[find(parents[leaf][0])], comp_ids[leaf], 2))
     for v in range(tc.n):
         if tc.leaf_labels[v] and v not in terminal_leaves:
             attached[comp_ids[find(parents[v][0])]].append(tc.leaf_labels[v])
     for w in range(tc.n):
         if indeg[w] == 2:
             for parent in parents[w]:
-                edges.append((comp_ids[find(parent)], comp_ids[find(w)], False))
+                edges.append((comp_ids[find(parent)], comp_ids[find(w)], 1))
         elif w != tc.root and not tc.leaf_labels[w] and len(tc.children[w]) == 2:
             parent = parents[w][0]
             if parent != tc.root and indeg[parent] != 2:
-                edges.append((comp_ids[find(parent)], comp_ids[find(w)], True))
+                edges.append((comp_ids[find(parent)], comp_ids[find(w)], 2))
     return ComponentGraph(
-        n=n,
-        root=0,
-        edges=tuple(sorted(edges)),
+        pattern=canon.DagPattern(n, tuple(sorted(edges))),
         attached=tuple(tuple(sorted(a)) for a in attached),
         terminal_labels=tuple(terminal),
     )

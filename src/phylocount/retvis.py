@@ -68,11 +68,11 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
 
 def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
     """One pattern's share of the pattern sum: the product of its vertex
-    series, each :func:`onecomp.block_series` of the vertex's (distinct
-    children, double-edge children), weighted by 1/symmetry."""
+    series, each :func:`onecomp.block_series` of the vertex's profile
+    (:meth:`canon.DagPattern.profile`), weighted by 1/symmetry."""
     term = Egf.one(order)
     for v in range(pattern.m):
-        term = term * block_series(pattern.out_count(v), pattern.double_count(v), order)
+        term = term * block_series(*pattern.profile(v), order)
     return term.scale(Fraction(1, symmetry))
 
 
@@ -121,51 +121,6 @@ def closed_form_threshold(rets: int) -> int:
     catalog's pattern sum through l = 40 and cached per rets."""
     series = pattern_sum_egf(rets, 40)
     return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, 40)
-
-
-def vanishing_certificate(rets: int, leaves: int) -> bool:
-    """Prove, without enumerating the catalog, that every (rets+1)-vertex
-    pattern contributes nothing at the given leaf count.
-
-    Relaxation over vertex profiles: a vertex with c distinct children and c1
-    double-edge children needs at least `need(c, c1)` labeled leaves before
-    its block series is nonzero, and profiles are constrained only by the
-    total indegree budget 2*rets.  If even the relaxed minimum exceeds
-    `leaves`, every true pattern coefficient vanishes.
-    """
-    m = rets + 1
-    budget = 2 * rets  # total weighted indegree units across non-root vertices
-
-    def need(c: int, c1: int) -> int:
-        l0 = 0 if c1 > 0 else 1
-        for l in range(l0, l0 + 3):
-            if block_count(l + c, c1) > 0:
-                return l
-        return l0 + 3  # block series supported further out; a safe lower bound
-
-    # cheapest unit cost of a "free" vertex (need 0)
-    free_costs = [
-        c + c1
-        for c in range(0, budget + 1)
-        for c1 in range(0, min(c, budget) + 1)
-        if c + c1 <= budget and need(c, c1) == 0
-    ]
-    if not free_costs:
-        return m > leaves
-    cheapest_free = min(free_costs)
-    max_free = min(m, budget // cheapest_free)
-    min_needed = m - max_free
-    return min_needed > leaves
-
-
-def pattern_is_treelike(pattern: DagPattern) -> bool:
-    """True when every non-root vertex hangs off a single parent (all its
-    indegree arrives as one double edge); such patterns compress galled
-    networks."""
-    parents: dict[int, int] = {}
-    for _, dst, _ in pattern.edges:
-        parents[dst] = parents.get(dst, 0) + 1
-    return all(count == 1 for count in parents.values())
 
 
 # The small-scale component-graph sum: enumerate the admissible compressed
@@ -295,13 +250,14 @@ def galled_series_reference(rets: int, order: int) -> Egf:
     sum; raises ArithmeticError unless it equals :func:`galled.galled_egf`.
 
     Galled networks compress to tree-like patterns.  This route picks them
-    from the catalog by parent counts (:func:`pattern_is_treelike`), the
-    galled series by vertex profile; the two share only the block series."""
+    from the catalog by their edges (:meth:`canon.DagPattern.is_treelike`),
+    the galled series by vertex profile; the two share only the block
+    series."""
     from phylocount.galled import galled_egf  # only this check needs the galled series
 
     total = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(rets + 1):
-        if pattern_is_treelike(pattern):
+        if pattern.is_treelike():
             total = total + pattern_term(pattern, symmetry, order)
     expected = galled_egf(rets, order)
     if total != expected:

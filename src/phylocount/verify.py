@@ -228,12 +228,6 @@ def _galled_dominated():
     return True
 
 
-def _rv_zeros():
-    return all(
-        retvis.rv_count(l, k) == 0 for l in (1, 2) for k in range(3 * l - 2, 8)
-    ) and all(retvis.vanishing_certificate(7, l) for l in (1, 2))
-
-
 
 @functools.cache
 def laurent_forms() -> MappingProxyType:
@@ -304,7 +298,7 @@ def three_ret_split_check():
     order = 34
     sums = {"tree": Egf.zero(order), "non-tree": Egf.zero(order)}
     for pattern, symmetry in retvis.enumerate_patterns(4):
-        half = "tree" if retvis.pattern_is_treelike(pattern) else "non-tree"
+        half = "tree" if pattern.is_treelike() else "non-tree"
         sums[half] = sums[half] + retvis.pattern_term(pattern, symmetry, order)
     forms = laurent_forms()
     for half, computed in sums.items():
@@ -319,7 +313,7 @@ def _displays():
     forms = laurent_forms()
     profiles = [key for key in forms if isinstance(key, tuple)]
     catalog_profiles = {
-        (pattern.out_count(v), pattern.double_count(v))
+        pattern.profile(v)
         for pattern, _ in retvis.enumerate_patterns(3)
         for v in range(pattern.m)
     }
@@ -422,11 +416,9 @@ def _enumerated_networks():
         if len({networks.canonical_code(net) for net in nets}) != len(nets):
             return False
         for net in nets:
-            cg = networks.component_graph(net)
-            if not networks.is_galled(net) == cg.stripped_is_tree() == _galled_by_max_flow(net):
-                return False
-            indegs = cg.weighted_indegrees()
-            if any(indegs[v] != 2 for v in range(cg.n) if v != cg.root):
+            # building the component graph checks its weighted indegrees
+            treelike = networks.component_graph(net).pattern.is_treelike()
+            if not networks.is_galled(net) == treelike == _galled_by_max_flow(net):
                 return False
             if networks.is_normal(net) and not networks.is_tree_child(net):
                 return False
@@ -508,7 +500,9 @@ CHECKS: list[tuple[str, str, Callable[[], object]]] = [
         _closed_forms_match(retvis.closed_form_threshold, retvis.rv_closed_form, retvis.rv_egf, [(1, 2)])
     )),
     ("retvis", "galled <= visible pointwise, equal for k <= 1 (l <= 25)", _galled_dominated),
-    ("retvis", "counts vanish beyond 3l-3 (l in {1,2}; k <= 7 direct, k = 7 also certified)", _rv_zeros),
+    ("retvis", "counts vanish beyond 3l-3 (l in {1,2}, k <= 7)", lambda: all(
+        retvis.rv_count(l, k) == 0 for l in (1, 2) for k in range(3 * l - 2, 8)
+    )),
     ("retvis", "tree/non-tree split matches closed Laurent forms", three_ret_split_check),
     ("retvis", "tree-like patterns reproduce the galled series (k <= 5, l <= 20)", _treelike_galled),
     ("retvis", "generating-function displays match series at order 24", _displays),

@@ -156,20 +156,17 @@ def test_trees_are_normal_and_galled():
 def test_component_graph_of_tree_is_single_vertex():
     tree = Network.build([[1], [2, 3], [4, 5], [], [], []], {3: 3, 4: 1, 5: 2})
     cg = component_graph(tree)
-    assert cg.n == 1
+    assert cg.pattern == DagPattern(1, ())
     assert cg.attached == ((1, 2, 3),)
-    assert cg.edges == ()
-    assert cg.stripped_is_tree()
+    assert cg.pattern.is_treelike()
 
 
 def test_component_graph_special_terminal_rule():
     cg = component_graph(gadget_network())
-    assert cg.n == 2
-    assert cg.edges == ((0, 1, True),)
+    assert cg.pattern == DagPattern(2, ((0, 1, 2),))
     assert cg.attached == ((2,), ())
     assert cg.terminal_labels == (0, 1)
-    assert cg.stripped_is_tree()
-    assert cg.weighted_indegrees() == [0, 2]
+    assert cg.pattern.is_treelike()
 
 
 def test_canonical_code_relabeling_invariance():
@@ -207,8 +204,9 @@ def test_canonical_code_writes_distinct_signatures_in_their_order():
 
 def test_dag_pattern_invariants():
     pattern = DagPattern(3, ((0, 1, 2), (0, 2, 1), (1, 2, 1)))
-    assert pattern.out_count(0) == 2
-    assert pattern.double_count(0) == 1
+    assert [pattern.profile(v) for v in range(3)] == [(2, 1), (1, 0), (0, 0)]
+    assert not pattern.is_treelike()
+    assert DagPattern(3, ((0, 1, 2), (1, 2, 2))).is_treelike()
     with pytest.raises(ValueError):
         DagPattern(3, ((0, 1, 2), (0, 2, 1)))  # vertex 2 has indegree 1
     with pytest.raises(ValueError):

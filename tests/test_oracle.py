@@ -38,6 +38,7 @@ from phylocount.oracle import (
     saturated_growth_term_log,
     split_multifurcation,
 )
+from phylocount.retvis import enumerate_patterns
 from phylocount.verify import _galled_by_max_flow
 
 
@@ -155,13 +156,13 @@ def test_class_inclusions_pointwise():
 
 def test_galled_equals_tree_shaped_compression():
     # three routes: the parents of each reticulation share a tree component
-    # (is_galled), the component graph with arrows ignored is a tree, and
-    # the tree-cycle definition, checked by max flow
+    # (is_galled), every edge of the component graph is double, and the
+    # tree-cycle definition, checked by max flow
     seen = set()
     for l, k in ((2, 2), (3, 1), (2, 3), (3, 2)):
         for net in enumerate_networks(l, k):
             galled = is_galled(net)
-            assert galled == component_graph(net).stripped_is_tree() == _galled_by_max_flow(net)
+            assert galled == component_graph(net).pattern.is_treelike() == _galled_by_max_flow(net)
             seen.add(galled)
     assert seen == {True, False}
 
@@ -284,11 +285,16 @@ def test_an_exhausted_enumeration_frees_its_dedupe_table():
     assert held < 100_000
 
 
-def test_compressed_indegrees_are_two():
-    for net in enumerate_networks(3, 2):
-        cg = component_graph(net)
-        indegs = cg.weighted_indegrees()
-        assert all(indegs[v] == 2 for v in range(cg.n) if v != cg.root)
+def test_every_network_compresses_to_a_catalog_pattern():
+    # building a component graph checks its weighted indegrees; its shape
+    # must then be a pattern of the catalog, tree-like iff the network is
+    # galled
+    for l, k in verify.FRESH_CELLS:
+        codes = {pattern.canonical_bytes() for pattern, _ in enumerate_patterns(k + 1)}
+        for net in enumerate_networks(l, k):
+            pattern = component_graph(net).pattern
+            assert pattern.canonical_bytes() in codes
+            assert pattern.is_treelike() == is_galled(net)
 
 
 def test_reticulation_capacity_identity():

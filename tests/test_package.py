@@ -88,8 +88,8 @@ RECORDS = [
     (series.SqrtPoly.of({1: 2}), "terms", "SqrtPoly(terms=((1, Fraction(2, 1)),))"),
     (networks.Network(((1,), ()), (0, 1)), "root",
      "Network(children=((1,), ()), leaf_labels=(0, 1), root=0)"),
-    (networks.ComponentGraph(1, 0, (), ((1,),), (0,)), "n",
-     "ComponentGraph(n=1, root=0, edges=(), attached=((1,),), terminal_labels=(0,))"),
+    (networks.ComponentGraph(canon.DagPattern(1, ()), ((1,),), (0,)), "pattern",
+     "ComponentGraph(pattern=DagPattern(m=1, edges=(), root=0), attached=((1,),), terminal_labels=(0,))"),
     (canon.DagPattern(2, ((0, 1, 2),)), "edges", "DagPattern(m=2, edges=((0, 1, 2),), root=0)"),
     (oracle.ClassCounts(1, 2, 3, 4, 5), "tc", "ClassCounts(pn=1, rv=2, gn=3, tc=4, normal=5)"),
     (verify.CheckResult("s", "n", True), "ok", "CheckResult(suite='s', name='n', ok=True, detail='')"),
@@ -126,6 +126,7 @@ def test_records_compare_their_fields_only():
         (canon.DagPattern, (2, ((0, 1, 3),)), "multiplicities must be 1 or 2"),
         (canon.DagPattern, (2, ((0, 1, 2),), 1), "root must have indegree 0"),
         (canon.DagPattern, (3, ((0, 1, 2), (0, 2, 1))), "weighted indegree 2"),
+        (canon.DagPattern, (3, ((0, 1, 2), (1, 2, 1), (1, 2, 1))), "one double edge"),
     ],
 )
 def test_record_validation_errors(make, args, message):

@@ -12,18 +12,17 @@ import pytest
 from phylocount import canon
 from phylocount.canon import DagPattern
 from phylocount.galled import galled_count, galled_egf
+from phylocount.onecomp import PATTERN_PROFILES
 from phylocount.oracle import count_by_class
 from phylocount.retvis import (
     closed_form_threshold,
     enumerate_patterns,
     galled_series_reference,
-    pattern_is_treelike,
     pattern_sum_egf,
     rv_closed_form,
     rv_component_sum,
     rv_count,
     rv_egf,
-    vanishing_certificate,
 )
 from phylocount.series import Egf
 from phylocount.verify import laurent_forms, three_ret_split_check
@@ -89,16 +88,6 @@ def test_zero_beyond_bound():
     for l in (1, 2):
         for k in range(3 * l - 2, 7):
             assert rv_count(l, k) == 0
-
-
-def test_vanishing_certificate():
-    # proves the vanishing at 7 reticulations without building the catalog
-    for l in (1, 2):
-        for k in range(3 * l - 2, 8):
-            assert vanishing_certificate(k, l)
-    # must not claim vanishing where counts exist
-    assert not vanishing_certificate(3, 2)
-    assert not vanishing_certificate(2, 2)
 
 
 def test_zero_at_seven_reticulations_directly():
@@ -168,7 +157,7 @@ def test_closed_forms_and_thresholds():
 
 def test_tree_like_split():
     cat = enumerate_patterns(4)
-    tree_like = [p for p, _ in cat if pattern_is_treelike(p)]
+    tree_like = [p for p, _ in cat if p.is_treelike()]
     assert len(tree_like) == 4
     ok, bad = three_ret_split_check()
     assert ok, bad
@@ -223,11 +212,23 @@ def test_asymmetric_patterns_have_trivial_symmetry():
     # distinct degree signatures force a trivial automorphism group
     for pattern, symmetry in enumerate_patterns(4):
         signatures = [
-            (pattern.out_count(v), pattern.double_count(v), v == pattern.root)
+            (*pattern.profile(v), v == pattern.root)
             for v in range(pattern.m)
         ]
         if len(set(signatures)) == pattern.m:
             assert symmetry == 1
+
+
+def test_catalog_profiles_match_the_recurrence_rule():
+    # c + c1 weighs a double edge twice, so the profiles sum to the total
+    # weighted indegree; and the tree-like patterns are those whose every
+    # vertex profile the galled recurrence admits
+    admits = PATTERN_PROFILES["gn"]
+    for m in range(1, 7):
+        for pattern, _ in enumerate_patterns(m):
+            profiles = [pattern.profile(v) for v in range(m)]
+            assert sum(c + c1 for c, c1 in profiles) == 2 * (m - 1)
+            assert pattern.is_treelike() == all(admits(c, c1) for c, c1 in profiles)
 
 
 def test_weighted_totals_are_integral():
