@@ -174,10 +174,11 @@ def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
 
 class DagPattern(Record):
     """Unlabeled rooted multigraph DAG: root of indegree 0, every other vertex
-    of weighted indegree exactly 2, edge multiplicities 1 or 2, a vertex with
-    one parent on one double edge.  A pattern of the visible pattern sum, or
-    the shape of a network's component graph (its weighted-indegree-2 lemma
-    is checked here on every component graph built)."""
+    of weighted indegree exactly 2 and reached from the root, no cycle, edge
+    multiplicities 1 or 2, a vertex with one parent on one double edge.  A
+    pattern of the visible pattern sum, or the shape of a network's
+    component graph (its weighted-indegree-2 lemma is checked here on every
+    component graph built)."""
 
     __slots__ = _fields = ("m", "edges", "root")
     m: int
@@ -196,6 +197,17 @@ class DagPattern(Record):
             raise ValueError("non-root vertices must have weighted indegree 2")
         if len({(src, dst) for src, dst, _ in edges}) < len(edges):
             raise ValueError("two single edges from one parent must be one double edge")
+        # Kahn's order from the root misses every vertex on or below a cycle,
+        # a self-loop included, and every vertex the root does not reach
+        order = [root]
+        for v in order:  # the loop also visits what it appends
+            for src, dst, mult in edges:
+                if src == v:
+                    indeg[dst] -= mult
+                    if not indeg[dst]:
+                        order.append(dst)
+        if len(order) < m:
+            raise ValueError("every vertex must be reached from the root, with no cycle")
         self._set(m, edges, root)
 
     def profile(self, v: int) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Galled-network counts: series recurrence, closed forms, tree sums, asymptotics.
 
 The series route is :func:`onecomp.pattern_egf` over tree-like patterns, the
-compressed forms of galled networks; the composition identity, the tree sum
-and the oracle check it by routes of their own.  The closed forms for k = 2, 3
+compressed forms of galled networks; the fixed-point identity (expanded by
+truncated powers, :func:`fixed_point_expansion`), the tree sum and the
+oracle check it by routes of their own.  The closed forms for k = 2, 3
 are polynomial-times-double-factorial expressions whose validity range is
 discovered by comparison against the series, never assumed.
 """
@@ -11,22 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 
 from phylocount.series import Egf, double_factorial, validated_from
 from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf
-
-
-def _compositions(total: int, parts: int):
-    """All ordered tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @functools.cache
@@ -57,39 +48,37 @@ def closed_form_threshold(rets: int) -> int:
     return validated_from(lambda l: galled_closed_form(l, rets) == series.count(l), 1, 40)
 
 
-def generating_identity_check(max_rets: int, order: int, _egfs=None):
-    """Verify the fixed-point identity of the bivariate generating function:
-    the class equals a block chosen at the top with lower networks substituted
-    at its reticulation leaves.
+def fixed_point_expansion(gs, fs) -> list:
+    """rhs_0 = F_0 and rhs_k = sum_{j=1..k} F_j / j! [v^(k-j)] G(v)^j for
+    1 <= k <= K = len(fs) - 1: the right-hand side of the fixed point
+    G(v) = Phi(v G(v)) with Phi(t) = sum_j F_j t^j / j!.
 
-    The right-hand side expands G_k = sum_j F_j / j! [v^(k-j)] G(v)^j over
-    every ordered composition of k - j into j parts, independently of the
-    pattern recurrence that :func:`galled_egf` uses.  Returns (True, None) or
-    (False, (rets, power)) at the first bad coefficient.  `_egfs` lets tests
-    inject a corrupted series family.
-    """
-    K, T = max_rets, order
-    egfs = _egfs if _egfs is not None else [galled_egf(k, T) for k in range(K + 1)]
-    rhs = [block_series(0, 0, T)]
-    for k in range(1, K + 1):
-        total = Egf.zero(T)
-        for j in range(1, k + 1):
-            inner = Egf.zero(T)
-            for combo in _compositions(k - j, j):
-                term = Egf.one(T)
-                for part in combo:
-                    term = term * egfs[part]
-                inner = inner + term
-            total = total + (block_series(j, j, T) * inner).scale(
-                Fraction(1, math.factorial(j))
-            )
-        rhs.append(total)
-    for k in range(K + 1):
-        if rhs[k] != egfs[k]:
-            for n in range(T + 1):
-                if rhs[k].coeff(n) != egfs[k].coeff(n):
-                    return False, (k, n)
-    return True, None
+    rhs_k reads only G_0..G_(k-1) of `gs`, so a call on G_0..G_(k-1) with
+    `fs` cut to F_0..F_k solves for G_k, starting from G_0 = F_0.  G(v)^j is
+    kept through v^(K-j), one multiplication by G(v) per power.  Only `+`, `*` and `.scale` are used,
+    so the terms may be `Egf` or `SqrtPoly`."""
+    K = len(fs) - 1
+    total = functools.partial(functools.reduce, operator.add)
+    powers = [None, gs[:K]]  # powers[j][i] = [v^i] G(v)^j
+    for j in range(2, K + 1):
+        powers.append([total(powers[-1][a] * gs[i - a] for a in range(i + 1)) for i in range(K - j + 1)])
+    weights = [f.scale(Fraction(1, math.factorial(j))) for j, f in enumerate(fs)]
+    return fs[:1] + [total(weights[j] * powers[j][k - j] for j in range(1, k + 1)) for k in range(1, K + 1)]
+
+
+def generating_identity_check(max_rets: int, order: int, _egfs=None):
+    """Verify the fixed-point identity of the bivariate generating function
+    (a block at the top, lower networks substituted at its reticulation
+    leaves) on the series G_0..G_max_rets through z^order: the right-hand
+    side is :func:`fixed_point_expansion` over F_j = block_series(j, j), a
+    route apart from the pattern recurrence of :func:`galled_egf`.  Returns
+    (True, None) or (False, (rets, power)) at the first bad coefficient;
+    `_egfs` lets tests inject a corrupted series family."""
+    egfs = _egfs if _egfs is not None else [galled_egf(k, order) for k in range(max_rets + 1)]
+    rhs = fixed_point_expansion(egfs, [block_series(j, j, order) for j in range(max_rets + 1)])
+    bad = [(k, n) for k in range(max_rets + 1) for n in range(order + 1)
+           if rhs[k].coeff(n) != egfs[k].coeff(n)]
+    return not bad, (bad[0] if bad else None)
 
 
 # Multifurcating labeled trees and the tree-shaped component sum.

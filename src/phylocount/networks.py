@@ -437,7 +437,8 @@ def canonical_code(net: Network, unfolding: tuple | None = None) -> bytes:
         rank = {sig: chr(i) for i, sig in enumerate(sorted(signatures))}
         key = _keys(children, order, [rank[sig] for sig in up])
         if len(set(key)) < n:
-            return _CANON_TAG + _least_code(children, labels, order, key)
+            twin = [(sorted(ps), sorted(cs)) for ps, cs in zip(net.parents(), children)]
+            return _CANON_TAG + _least_code(children, labels, order, key, twin)
         ranked = sorted(range(n), key=key.__getitem__)
     return _ORDER_TAG + _written(children, labels, ranked)
 
@@ -454,7 +455,7 @@ def _keys(children, order: list[int], own: list[str]) -> list[str]:
     return key
 
 
-def _least_code(children, labels, order: list[int], key: list[str]) -> bytes:
+def _least_code(children, labels, order: list[int], key: list[str], twin: list) -> bytes:
     """The least network code over the orders that individualisation on the
     keys reaches.
 
@@ -465,7 +466,10 @@ def _least_code(children, labels, order: list[int], key: list[str]) -> bytes:
     there.  The new keys split the old classes and set x apart, so the
     search ends; it is equivariant and explores every branch, so the least
     code is the same for isomorphic networks, and a code writes its
-    network out in full, so it differs for the rest."""
+    network out in full, so it differs for the rest.  A member whose
+    sorted parents and children, its `twin` entry, equal those of a member
+    already tried is skipped: swapping the two is an automorphism that
+    fixes every marked vertex, so its branch reaches the same codes."""
     n = len(key)
     ranked = sorted(range(n), key=key.__getitem__)
     tied = next((key[u] for u, v in zip(ranked, ranked[1:]) if key[u] == key[v]), None)
@@ -475,10 +479,12 @@ def _least_code(children, labels, order: list[int], key: list[str]) -> bytes:
     own = [chr(rank[k]) for k in key]
     marked = chr(rank[tied] + 1)
     best = None
+    tried = []
     for x in range(n):
-        if key[x] == tied:
+        if key[x] == tied and twin[x] not in tried:
+            tried.append(twin[x])
             mine, own[x] = own[x], marked
-            code = _least_code(children, labels, order, _keys(children, order, own))
+            code = _least_code(children, labels, order, _keys(children, order, own), twin)
             own[x] = mine
             if best is None or code < best:
                 best = code

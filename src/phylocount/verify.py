@@ -103,7 +103,6 @@ def _z_poly_round_trip():
     return [image.coeff_z(n) for n in range(4)] == poly and image.coeff_z(4) == 0
 
 
-
 def _block_closed_forms():
     return all(
         onecomp.block_count(l, 1) == onecomp.block_closed_one(l)
@@ -156,7 +155,6 @@ def _closed_forms_match(threshold, closed_form, egf, zeros):
     return ok, f"thresholds {thresholds}"
 
 
-
 def _tree_sum():
     for l in range(1, 6):
         by_rets = galled.galled_tree_sum_by_rets(l)
@@ -181,7 +179,6 @@ def main_term_gaps(closed_form) -> dict[tuple[int, int], float]:
 def _main_term_improves(closed_form) -> bool:
     gaps = main_term_gaps(closed_form)
     return all(gaps[k, 400] < gaps[k, 100] for k in (1, 2, 3))
-
 
 
 def _catalog_sizes():
@@ -209,7 +206,6 @@ def _catalog_stable():
     return True
 
 
-
 def _treelike_galled():
     for k in range(0, 6):
         retvis.galled_series_reference(k, 20)  # raises unless the series agree
@@ -226,7 +222,6 @@ def _galled_dominated():
             if gn_c > rv_c or (k <= 1 and gn_c != rv_c):
                 return False
     return True
-
 
 
 @functools.cache
@@ -274,19 +269,18 @@ def laurent_forms() -> MappingProxyType:
 
 def galled_sqrt_form(rets: int) -> SqrtPoly:
     """Closed Laurent form of the galled EGF for rets in {1, 2}, built from
-    the table's F1, F2 and B0 by the composition identities E1 = F1 E0 and
-    E2 = F1 E1 + F2 E0^2 / 2, a route apart from the pattern recurrence.
-    The one-reticulation form must also equal the explicit G1."""
+    the table's B0, F1 and F2 by the fixed point G(v) = Phi(v G(v)): two
+    passes of :func:`galled.fixed_point_expansion` from G_0 = B_0, a route
+    apart from the pattern recurrence.  The one-reticulation form must also
+    equal the explicit G1."""
+    if rets not in (1, 2):
+        raise ValueError("closed Laurent forms are kept for rets in {1, 2}")
     forms = laurent_forms()
-    e0, f1, f2 = forms[0, 0], forms[1, 1], forms[2, 2]
-    e1 = f1 * e0
-    if rets == 1:
-        if e1 != forms["G1"]:
-            raise ArithmeticError("one-reticulation Laurent forms disagree")
-        return e1
-    if rets == 2:
-        return f1 * e1 + (f2 * e0 * e0).scale(Fraction(1, 2))
-    raise ValueError("closed Laurent forms are kept for rets in {1, 2}")
+    fs = [forms[j, j] for j in range(3)]
+    one = galled.fixed_point_expansion(fs[:1], fs[:2])
+    if one[1] != forms["G1"]:
+        raise ArithmeticError("one-reticulation Laurent forms disagree")
+    return (one if rets == 1 else galled.fixed_point_expansion(one, fs))[rets]
 
 
 def three_ret_split_check():
@@ -301,11 +295,9 @@ def three_ret_split_check():
         half = "tree" if pattern.is_treelike() else "non-tree"
         sums[half] = sums[half] + retvis.pattern_term(pattern, symmetry, order)
     forms = laurent_forms()
-    for half, computed in sums.items():
-        for n in range(order + 1):
-            if computed.coeff(n) != forms[half].coeff_z(n):
-                return False, (half, n)
-    return True, None
+    bad = [(half, n) for half, computed in sums.items() for n in range(order + 1)
+           if computed.coeff(n) != forms[half].coeff_z(n)]
+    return not bad, (bad[0] if bad else None)
 
 
 def _displays():

@@ -15,6 +15,7 @@ from phylocount.galled import (
     asymptotic_main_term_log,
     asymptotic_ratio,
     closed_form_threshold,
+    fixed_point_expansion,
     galled_closed_form,
     galled_count,
     galled_egf,
@@ -96,25 +97,50 @@ def test_sqrt_form_golden_files():
     assert Egf([coeffs[n] for n in range(len(coeffs))]) == galled_egf(2, len(coeffs) - 1)
 
 
+def test_fixed_point_expansion_over_the_laurent_forms():
+    # two passes from G_0 = B_0 over the table's F_j give the explicit G1,
+    # then the golden two-reticulation form; on the forms' series, the same
+    # expansion gives the block-series expansion term for term
+    forms = laurent_forms()
+    fs = [forms[j, j] for j in range(3)]
+    one = fixed_point_expansion(fs[:1], fs[:2])
+    assert one == [forms[0, 0], forms["G1"]]
+    two = fixed_point_expansion(one, fs)
+    assert two[:2] == one
+    assert two[2] == SqrtPoly.of(_golden_triples("galled_two_ret_form.json", "sqrtpoly", "terms"))
+    order = 20
+    block = fixed_point_expansion(
+        [form.egf(order) for form in one], [block_series(j, j, order) for j in range(3)]
+    )
+    assert [form.egf(order) for form in two] == block
+
+
+def _corrupted(egfs: list[Egf], k: int, n: int) -> list[Egf]:
+    coeffs = list(egfs[k].coeffs)
+    coeffs[n] += Fraction(1, 7)
+    return egfs[:k] + [Egf(tuple(coeffs))] + egfs[k + 1 :]
+
+
 def test_generating_identity():
     ok, bad = generating_identity_check(4, 12)
     assert ok and bad is None
     ok0, _ = generating_identity_check(0, 10)
     assert ok0
     # corrupting one coefficient is detected at that coefficient
-    egfs = [galled_egf(k, 12) for k in range(5)]
-    coeffs = list(egfs[2].coeffs)
-    coeffs[5] += Fraction(1, 7)
-    egfs[2] = Egf(tuple(coeffs))
+    egfs = _corrupted([galled_egf(k, 12) for k in range(5)], 2, 5)
     ok_bad, where = generating_identity_check(4, 12, _egfs=egfs)
     assert not ok_bad and where == (2, 5)
 
 
-def test_generating_identity_reaches_eight_reticulations():
+def test_generating_identity_reaches_sixteen_reticulations():
     # the second route for the series that `count --method series` serves at
-    # rets 5-8: the composition expansion shares only the block series with
-    # the pattern recurrence behind galled_egf
-    assert generating_identity_check(8, 30) == (True, None)
+    # rets 5-16: the truncated powers share only the block series with the
+    # pattern recurrence behind galled_egf
+    assert generating_identity_check(16, 30) == (True, None)
+    # a corrupted coefficient past eight reticulations is found where it is,
+    # though every higher G_k reads it too
+    egfs = _corrupted([galled_egf(k, 30) for k in range(17)], 11, 20)
+    assert generating_identity_check(16, 30, _egfs=egfs) == (False, (11, 20))
 
 
 def test_set_partitions_count():

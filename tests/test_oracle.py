@@ -200,12 +200,12 @@ def test_visible_and_normal_match_their_definitions():
 def _count_work(monkeypatch, leaves: int, rets: int):
     # the cell's class counts, and how often the enumerator and its helpers
     # ran: structure_key once per candidate, each validation, canonical code,
-    # unfolding, Kahn order and _find_errors pass, and the canonical codes
-    # that came out of the tie search.  The enumerator calls its own
-    # reference to _unfolding, so that is counted too
+    # unfolding, Kahn order and _find_errors pass, the canonical codes that
+    # came out of the tie search and the tie search's branches.  The
+    # enumerator calls its own reference to _unfolding, so that is counted too
     calls = dict.fromkeys(
         ("structure_key", "validation_errors", "canonical_code", "tie_codes", "_unfolding", "_topo_order",
-         "_find_errors"),
+         "_find_errors", "_least_code"),
         0,
     )
 
@@ -224,7 +224,7 @@ def _count_work(monkeypatch, leaves: int, rets: int):
     monkeypatch.setattr(oracle, "structure_key", counted("structure_key", oracle.structure_key))
     monkeypatch.setattr(oracle, "canonical_code", coded)
     monkeypatch.setattr(networks, "validation_errors", counted("validation_errors", networks.validation_errors))
-    for name in ("_unfolding", "_topo_order", "_find_errors"):
+    for name in ("_unfolding", "_topo_order", "_find_errors", "_least_code"):
         monkeypatch.setattr(networks, name, counted(name, getattr(networks, name)))
     monkeypatch.setattr(oracle, "_unfolding", networks._unfolding)
     return oracle.count_by_class.__wrapped__(leaves, rets), calls
@@ -251,6 +251,9 @@ def test_cell_2_4_work_matches_the_benchmark_pins(monkeypatch):
     # the codes whose refinement keys tie, among all the codes: the tie
     # search breaks them without the general canonizer
     assert (calls["tie_codes"], calls["canonical_code"]) == (259, 7064)
+    # the tie search's calls: a twin of a member already tried (same
+    # parents, same children) opens no branch of its own
+    assert calls["_least_code"] == 605
 
 
 def test_cell_5_1_work(monkeypatch):

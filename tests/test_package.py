@@ -127,6 +127,8 @@ def test_records_compare_their_fields_only():
         (canon.DagPattern, (2, ((0, 1, 2),), 1), "root must have indegree 0"),
         (canon.DagPattern, (3, ((0, 1, 2), (0, 2, 1))), "weighted indegree 2"),
         (canon.DagPattern, (3, ((0, 1, 2), (1, 2, 1), (1, 2, 1))), "one double edge"),
+        (canon.DagPattern, (3, ((1, 2, 2), (2, 1, 2))), "no cycle"),
+        (canon.DagPattern, (2, ((1, 1, 2),)), "no cycle"),
     ],
 )
 def test_record_validation_errors(make, args, message):
