@@ -141,9 +141,17 @@ def block_series(c: int, c1: int, order: int) -> Egf:
     return Egf.from_counts([block_count(l + c, c1) if l >= l0 else 0 for l in range(order + 1)])
 
 
-# the vertex profiles (c, c1) each class admits in its compressed patterns:
+# the vertex profiles (c, c1) each class admits in its compressed patterns,
+# read by both pattern routes, pattern_egf and retvis.pattern_sum_egf:
 # galled networks compress to the tree-like ones, all children double
 PATTERN_PROFILES = {"gn": operator.eq, "rv": lambda c, c1: True}
+
+
+def admit_rule(cls: str):
+    """The :data:`PATTERN_PROFILES` rule of `cls`; ValueError if it has none."""
+    if cls not in PATTERN_PROFILES:
+        raise ValueError(f"no pattern profiles for class {cls!r}; choose from {sorted(PATTERN_PROFILES)}")
+    return PATTERN_PROFILES[cls]
 
 
 def pattern_egf(cls: str, rets: int, order: int) -> Egf:
@@ -165,7 +173,8 @@ def pattern_egf(cls: str, rets: int, order: int) -> Egf:
     every rets shares the states of one class and order.
 
     The recursion takes a frame per pattern vertex and per layer, so a large
-    `rets` outgrows the interpreter's stack; that raises ValueError.
+    `rets` outgrows the interpreter's stack; that raises ValueError, as does
+    a class without a :data:`PATTERN_PROFILES` row.
     """
     if rets < 0 or order < 0:
         raise ValueError("rets and order must be nonnegative")
@@ -184,7 +193,7 @@ def _pattern_weight(cls: str, order: int, n0: int, nz: int, n1: int, n2: int) ->
         if nz:
             return _pattern_weight(cls, order, nz, 0, n1, n2)
         return Egf.zero(order) if n1 or n2 else Egf.one(order)
-    admits = PATTERN_PROFILES[cls]
+    admits = admit_rule(cls)
     by_profile: dict[tuple[int, int], Egf] = {}
     for b in range(n2 + 1):
         for a2 in range(n2 - b + 1):

@@ -4,9 +4,10 @@ For k reticulations the compressed form of a reticulation-visible network is
 a rooted multigraph DAG on k+1 vertices whose non-root vertices have weighted
 indegree 2 (a double edge counts twice).  Summing a per-vertex block series
 over the catalog of such patterns, weighted by inverse symmetry, yields the
-EGF of the class (:func:`pattern_sum_egf`).  :func:`rv_egf` gets the same
-series without the catalog, from the recurrence over vertex-labelled patterns
-in :func:`onecomp.pattern_egf`, which admits every vertex profile.
+EGF of the class (:func:`pattern_sum_egf`, keyed by class: gn keeps the
+tree-like patterns).  :func:`rv_egf` gets the same series without the
+catalog, from the recurrence over vertex-labelled patterns in
+:func:`onecomp.pattern_egf`, which the catalog sum checks for both classes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from phylocount import canon
 from phylocount.canon import DagPattern
 from phylocount.series import Egf, validated_from
-from phylocount.onecomp import block_count, block_series, closed_form, pattern_egf
+from phylocount.onecomp import admit_rule, block_count, block_series, closed_form, pattern_egf
 
 MAX_PATTERN_VERTICES = 8
 
@@ -76,17 +77,22 @@ def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
     return term.scale(Fraction(1, symmetry))
 
 
-def pattern_sum_egf(rets: int, order: int) -> Egf:
-    """The paper's pattern sum over the catalog of (rets+1)-vertex patterns.
+def pattern_sum_egf(cls: str, rets: int, order: int) -> Egf:
+    """The paper's pattern sum for class `cls` over the catalog of
+    (rets+1)-vertex patterns: every pattern whose vertex profiles the class
+    admits (:func:`onecomp.admit_rule`), so every pattern for rv and the
+    tree-like ones for gn.
 
-    The reference route for :func:`rv_egf`: it goes through the canonizer,
-    the catalog and the automorphism counts, none of which the labelled
-    recurrence uses."""
+    The reference route for :func:`onecomp.pattern_egf`: it goes through the
+    canonizer, the catalog and the automorphism counts, none of which the
+    labelled recurrence uses."""
+    admits = admit_rule(cls)
     if rets < 0:
         raise ValueError("rets must be nonnegative")
     total = Egf.zero(order)
     for pattern, symmetry in enumerate_patterns(rets + 1):
-        total = total + pattern_term(pattern, symmetry, order)
+        if all(admits(*pattern.profile(v)) for v in range(pattern.m)):
+            total = total + pattern_term(pattern, symmetry, order)
     return total
 
 
@@ -119,7 +125,7 @@ def rv_closed_form(leaves: int, rets: int):
 def closed_form_threshold(rets: int) -> int:
     """Validated range start for the closed form, discovered against the
     catalog's pattern sum through l = 40 and cached per rets."""
-    series = pattern_sum_egf(rets, 40)
+    series = pattern_sum_egf("rv", rets, 40)
     return validated_from(lambda l: rv_closed_form(l, rets) == series.count(l), 1, 40)
 
 
@@ -243,26 +249,3 @@ def _shape_weight(internal: int, parent_sets, counts) -> int:
         if weight == 0:
             return 0
     return weight
-
-
-def galled_series_reference(rets: int, order: int) -> Egf:
-    """The galled series through z^order as the tree-like part of the pattern
-    sum; raises ArithmeticError unless it equals :func:`galled.galled_egf`.
-
-    Galled networks compress to tree-like patterns.  This route picks them
-    from the catalog by their edges (:meth:`canon.DagPattern.is_treelike`),
-    the galled series by vertex profile; the two share only the block
-    series."""
-    from phylocount.galled import galled_egf  # only this check needs the galled series
-
-    total = Egf.zero(order)
-    for pattern, symmetry in enumerate_patterns(rets + 1):
-        if pattern.is_treelike():
-            total = total + pattern_term(pattern, symmetry, order)
-    expected = galled_egf(rets, order)
-    if total != expected:
-        first = next(l for l in range(order + 1) if total.coeff(l) != expected.coeff(l))
-        raise ArithmeticError(
-            f"tree-pattern series disagrees with the galled series at (leaves={first}, rets={rets})"
-        )
-    return total

@@ -19,7 +19,7 @@ from typing import Callable
 
 from phylocount import canon, galled, networks, onecomp, oracle, retvis, series
 from phylocount.records import Record
-from phylocount.series import Egf, SqrtPoly
+from phylocount.series import SqrtPoly
 
 SUITES = ("genfun", "onecomp", "galled", "retvis", "oracle", "appendix")
 # validated threshold of the gn and rv closed forms, per reticulation count
@@ -207,8 +207,12 @@ def _catalog_stable():
 
 
 def _treelike_galled():
+    # the catalog's tree-like patterns against the galled recurrence
     for k in range(0, 6):
-        retvis.galled_series_reference(k, 20)  # raises unless the series agree
+        pairs = zip(retvis.pattern_sum_egf("gn", k, 20).coeffs, galled.galled_egf(k, 20).coeffs)
+        first = next((l for l, (catalog, series) in enumerate(pairs) if catalog != series), None)
+        if first is not None:
+            return False, f"tree-like pattern sum differs from the galled series at (leaves={first}, rets={k})"
     return True
 
 
@@ -284,19 +288,20 @@ def galled_sqrt_form(rets: int) -> SqrtPoly:
 
 
 def three_ret_split_check():
-    """Compare the pattern-sum halves (tree-like vs not) with their closed
-    Laurent forms, coefficient by coefficient through z^34.
+    """Compare the four-vertex pattern sums with their closed Laurent forms,
+    coefficient by coefficient through z^34: the tree-like sum (gn) with the
+    "tree" form, the whole sum (rv) with "tree" plus "non-tree".
 
     Returns (True, None) or (False, (which, n)) at the first disagreement.
     """
     order = 34
-    sums = {"tree": Egf.zero(order), "non-tree": Egf.zero(order)}
-    for pattern, symmetry in retvis.enumerate_patterns(4):
-        half = "tree" if pattern.is_treelike() else "non-tree"
-        sums[half] = sums[half] + retvis.pattern_term(pattern, symmetry, order)
     forms = laurent_forms()
-    bad = [(half, n) for half, computed in sums.items() for n in range(order + 1)
-           if computed.coeff(n) != forms[half].coeff_z(n)]
+    halves = {
+        "tree": (retvis.pattern_sum_egf("gn", 3, order), forms["tree"]),
+        "non-tree": (retvis.pattern_sum_egf("rv", 3, order), forms["tree"] + forms["non-tree"]),
+    }
+    bad = [(half, n) for half, (computed, form) in halves.items() for n in range(order + 1)
+           if computed.coeff(n) != form.coeff_z(n)]
     return not bad, (bad[0] if bad else None)
 
 
@@ -475,8 +480,10 @@ CHECKS: list[tuple[str, str, Callable[[], object]]] = [
     ("onecomp", "block polynomial degree 2k, leading coefficient 2^k (k <= 6)", _block_polynomials),
     ("onecomp", "shifted series equals k-fold derivative (k <= 6)", _shift_is_derivative),
     ("galled", "series counts integral, zero exactly beyond 2l-2 (l <= 40)", _galled_support),
+    # the thresholds scan the recurrence series, so the forms meet the catalog's
     ("galled", "closed forms match series from their thresholds through l = 40", lambda: _closed_forms_match(
-        galled.closed_form_threshold, galled.galled_closed_form, galled.galled_egf, [(1, 2), (2, 3)]
+        galled.closed_form_threshold, galled.galled_closed_form,
+        lambda k, order: retvis.pattern_sum_egf("gn", k, order), [(1, 2), (2, 3)],
     )),
     ("galled", "closed Laurent forms match series", lambda: all(
         galled_sqrt_form(k).egf(24) == galled.galled_egf(k, 24) for k in (1, 2)

@@ -76,6 +76,25 @@ def test_closed_forms_and_thresholds():
         assert galled_closed_form(l, 3) == series3.count(l)
 
 
+def test_closed_form_check_compares_with_the_catalog_series(monkeypatch):
+    # the thresholds are scanned on the recurrence series, so the registry
+    # check compares the forms with the catalog's tree-like sum: one bad
+    # coefficient there fails it
+    from phylocount import retvis, verify
+
+    right = retvis.pattern_sum_egf
+
+    def one_off(cls, rets, order):
+        bump = Egf.from_counts([int(n == 30 and (cls, rets) == ("gn", 3)) for n in range(order + 1)])
+        return right(cls, rets, order) + bump
+
+    name = "closed forms match series from their thresholds through l = 40"
+    check = next(fn for _, check_name, fn in verify.CHECKS if check_name == name)
+    assert verify.run_check("galled", name, check).ok
+    monkeypatch.setattr(retvis, "pattern_sum_egf", one_off)
+    assert not verify.run_check("galled", name, check).ok
+
+
 def test_sqrt_forms():
     # one reticulation evaluates to zero at the origin and to 2 at two leaves
     one_ret = laurent_forms()["G1"]

@@ -248,3 +248,15 @@ def test_laurent_forms_are_entered_only_in_verify():
         if "SqrtPoly" in _read_names(ast.parse((PACKAGE / f"{module}.py").read_text()))
     ]
     assert not named, named
+
+
+def test_retvis_imports_nothing_from_galled():
+    # the catalog route is the reference for the galled series, so it must
+    # not reach that series, not even through a local import
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "retvis.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not {name for name in imported if name.startswith("phylocount.galled")}, imported

@@ -12,12 +12,11 @@ import pytest
 from phylocount import canon
 from phylocount.canon import DagPattern
 from phylocount.galled import galled_count, galled_egf
-from phylocount.onecomp import PATTERN_PROFILES
+from phylocount.onecomp import PATTERN_PROFILES, pattern_egf
 from phylocount.oracle import count_by_class
 from phylocount.retvis import (
     closed_form_threshold,
     enumerate_patterns,
-    galled_series_reference,
     pattern_sum_egf,
     rv_closed_form,
     rv_component_sum,
@@ -95,10 +94,19 @@ def test_zero_at_seven_reticulations_directly():
     assert rv_count(2, 7) == 0
 
 
-def test_recurrence_equals_pattern_sum():
+@pytest.mark.parametrize("cls", ["gn", "rv"])
+def test_recurrence_equals_pattern_sum(cls):
     # the labelled-pattern recurrence against the catalog route, m <= 7
     for k in range(0, 7):
-        assert rv_egf(k, 12).coeffs == pattern_sum_egf(k, 12).coeffs, k
+        assert pattern_egf(cls, k, 12).coeffs == pattern_sum_egf(cls, k, 12).coeffs, k
+
+
+def test_pattern_routes_reject_a_class_without_profiles():
+    # a usage error like every other argument out of range, not a KeyError
+    # from inside the memoised recurrence
+    for route in (pattern_egf, pattern_sum_egf):
+        with pytest.raises(ValueError, match=r"'tc'.*\['gn', 'rv'\]"):
+            route("tc", 2, 5)
 
 
 def permutation_scan_automorphisms(n, edges, root):
@@ -170,11 +178,11 @@ def test_tree_like_split():
 
 
 def test_tree_like_patterns_count_galled_networks():
-    assert galled_series_reference(3, 3).count(3) == 114
-    assert galled_series_reference(2, 4).count(4) == 1575
+    assert pattern_sum_egf("gn", 3, 3).count(3) == 114
+    assert pattern_sum_egf("gn", 2, 4).count(4) == 1575
 
 
-def test_tree_like_reference_raises_on_disagreement(monkeypatch):
+def test_tree_like_check_names_the_first_disagreement(monkeypatch):
     import phylocount.galled
     from phylocount import verify
 
@@ -182,10 +190,8 @@ def test_tree_like_reference_raises_on_disagreement(monkeypatch):
         series = galled_egf(rets, order)
         return series + Egf.from_counts([0] * order + [1])
 
-    # the reference imports the galled series when it runs
+    # the registry check reads the galled series when it runs
     monkeypatch.setattr(phylocount.galled, "galled_egf", off_by_one)
-    with pytest.raises(ArithmeticError, match=r"leaves=4, rets=3"):
-        galled_series_reference(3, 4)
     name = "tree-like patterns reproduce the galled series (k <= 5, l <= 20)"
     check = next(fn for _, check_name, fn in verify.CHECKS if check_name == name)
     result = verify.run_check("retvis", name, check)
@@ -224,7 +230,7 @@ def test_catalog_profiles_match_the_recurrence_rule():
     # weighted indegree; and the tree-like patterns are those whose every
     # vertex profile the galled recurrence admits
     admits = PATTERN_PROFILES["gn"]
-    for m in range(1, 7):
+    for m in range(1, 8):
         for pattern, _ in enumerate_patterns(m):
             profiles = [pattern.profile(v) for v in range(m)]
             assert sum(c + c1 for c, c1 in profiles) == 2 * (m - 1)
