@@ -4,8 +4,11 @@ are also the shapes of network component graphs.
 
 The canonizer is a standard colour-refinement / individualisation search.  It
 is exact: two inputs get the same canonical bytes iff they are isomorphic as
-vertex-coloured directed multigraphs.  Everything here targets graphs with at
-most a couple of dozen vertices; no attempt is made at asymptotic cleverness.
+vertex-coloured directed multigraphs.  The same search counts the
+colour-preserving automorphisms, as in B. D. McKay, "Practical graph
+isomorphism" (1981): they are the leaves that reach the canonical code.
+Everything here targets graphs with at most a couple of dozen vertices; no
+attempt is made at asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -18,19 +21,31 @@ Edge = tuple[int, int, int]  # (src, dst, multiplicity)
 
 
 def _refine(n: int, colors: list[int], out_adj, in_adj) -> list[int]:
-    """Colour refinement to a fixed point; colour ids are assigned by sorted
-    signature order so the result is canonical for the input colouring."""
+    """Colour refinement to a fixed point.  Each round gives every vertex the
+    rank of its signature among the distinct signatures in sorted order, so
+    the result is canonical for the input colouring and refines its order.
+    A round that splits no cell is the last: its ranks are those of the
+    colouring it started from, or a dense relabelling of them."""
+    cells = len(set(colors))
     while True:
-        signatures = []
-        for v in range(n):
-            out_sig = tuple(sorted((colors[w], m) for w, m in out_adj[v]))
-            in_sig = tuple(sorted((colors[w], m) for w, m in in_adj[v]))
-            signatures.append((colors[v], out_sig, in_sig))
-        ranks = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [ranks[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
+        signatures = [
+            (
+                colors[v],
+                sorted([(colors[w], m) for w, m in out_adj[v]]),
+                sorted([(colors[w], m) for w, m in in_adj[v]]),
+            )
+            for v in range(n)
+        ]
+        new_colors = [0] * n
+        rank, previous = -1, None
+        for v in sorted(range(n), key=signatures.__getitem__):
+            if signatures[v] != previous:
+                rank, previous = rank + 1, signatures[v]
+            new_colors[v] = rank
         colors = new_colors
+        if rank + 1 == cells:
+            return colors
+        cells = rank + 1
 
 
 def _encode(n: int, perm: list[int], init_colors: Sequence[int], edges: Iterable[Edge]) -> bytes:
@@ -42,12 +57,22 @@ def _encode(n: int, perm: list[int], init_colors: Sequence[int], edges: Iterable
     return repr((n, tuple(colors), tuple(relabeled))).encode()
 
 
-def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> bytes:
-    """Canonical encoding of a vertex-coloured directed multigraph.
+def canonical_form(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> tuple[bytes, int]:
+    """Canonical encoding of a vertex-coloured directed multigraph and the
+    number of its automorphisms (colour-, direction- and multiplicity-
+    preserving permutations of the vertices).
 
     `colors` are arbitrary integers; distinguish a root by giving it a unique
-    colour.  Equal bytes <=> isomorphic inputs (colour- and
-    multiplicity-preserving).
+    colour.  Equal bytes <=> isomorphic inputs.
+
+    One search gives both.  Its leaves are discrete colourings, and the code
+    of a leaf is the graph relabelled by it; the canonical code is the
+    smallest.  The automorphisms act freely on the leaves and map each leaf
+    of the smallest code to another one, and any two such leaves differ by
+    one automorphism, so there are exactly |Aut| of them.  The search skips
+    the twins of a branch vertex (same raw neighbourhood); swapping twins is
+    an automorphism that carries the explored subtree onto each skipped one,
+    so a leaf counts for the product of the twin-class sizes on its path.
     """
     edges = [tuple(e) for e in edges]
     if any(u == w for u, w, _ in edges):
@@ -61,115 +86,47 @@ def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> byt
     for u, w, m in edges:
         out_adj[u].append((w, m))
         in_adj[w].append((u, m))
-
-    best: list[bytes] = []
-    raw_neighborhood = [
-        (
-            tuple(sorted(out_adj[v])),
-            tuple(sorted(in_adj[v])),
-        )
+    # vertices with identical raw neighbourhoods are swapped by an automorphism
+    twin_ids: dict = {}
+    twin = [
+        twin_ids.setdefault((tuple(sorted(out_adj[v])), tuple(sorted(in_adj[v]))), v)
         for v in range(n)
     ]
+    best: list = [None, 0]  # the smallest code, and how many leaves reach it
 
-    def search(colors: list[int]):
+    def search(colors: list[int], weight: int):
         colors = _refine(n, colors, out_adj, in_adj)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        target = next((c for c in range(n) if sizes[c] > 1), None)
         if target is None:
-            perm = [0] * n
-            order = sorted(range(n), key=lambda v: colors[v])
-            for pos, v in enumerate(order):
-                perm[v] = pos
-            code = _encode(n, perm, start, edges)
-            if not best or code < best[0]:
-                best[:] = [code]
+            # a discrete colouring: the colours are the canonical positions
+            code = _encode(n, colors, start, edges)
+            if best[0] is None or code < best[0]:
+                best[:] = [code, weight]
+            elif code == best[0]:
+                best[1] += weight
             return
-        marker = n + max(colors) + 1
-        # vertices of the cell with identical raw neighborhoods are swapped by
-        # an automorphism, so one branch per neighborhood class suffices
-        branched_on = set()
-        for v in target:
-            key = raw_neighborhood[v]
-            if key in branched_on:
-                continue
-            branched_on.add(key)
+        # one branch per twin class of the first non-singleton cell; the
+        # branch vertex gets a colour above all others
+        classes: dict[int, list[int]] = {}
+        for v in range(n):
+            if colors[v] == target:
+                classes.setdefault(twin[v], []).append(v)
+        for members in classes.values():
             branched = list(colors)
-            branched[v] = marker
-            search(branched)
+            branched[members[0]] = n
+            search(branched, weight * len(members))
 
-    search(start)
+    search(start, 1)
     del search  # it refers to itself: leave no cycle for the collector
-    return best[0]
+    return best[0], best[1]
 
 
-def automorphism_count(n: int, edges: Iterable[Edge], root: int = 0) -> int:
-    """Order of the automorphism group fixing `root`, preserving directions
-    and edge multiplicities.
-
-    Colour refinement with the root individualised splits the vertices into
-    cells that every such automorphism preserves.  A backtracking search then
-    maps the vertices one by one, each into its own cell, and keeps a partial
-    map only while the edge multiplicities agree, in both directions, with
-    every vertex mapped so far."""
-    mult: dict[tuple[int, int], int] = {}
-    for u, w, m in edges:
-        mult[(u, w)] = mult.get((u, w), 0) + m
-    out_adj = [[] for _ in range(n)]
-    in_adj = [[] for _ in range(n)]
-    for (u, w), m in mult.items():
-        out_adj[u].append((w, m))
-        in_adj[w].append((u, m))
-    colors = _refine(n, [int(v == root) for v in range(n)], out_adj, in_adj)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    # map vertices in breadth-first order from the root, so that each one
-    # meets already mapped neighbours and a wrong choice fails early
-    order = [root]
-    placed = {root}
-    for v in order:
-        for w, _ in out_adj[v] + in_adj[v]:
-            if w not in placed:
-                placed.add(w)
-                order.append(w)
-    order += [v for v in range(n) if v not in placed]
-    image = [-1] * n
-    used = [False] * n
-
-    def fits(v: int, w: int, depth: int) -> bool:
-        if mult.get((v, v), 0) != mult.get((w, w), 0):
-            return False
-        for u in order[:depth]:
-            x = image[u]
-            if mult.get((u, v), 0) != mult.get((x, w), 0):
-                return False
-            if mult.get((v, u), 0) != mult.get((w, x), 0):
-                return False
-        return True
-
-    def extend(depth: int) -> int:
-        if depth == n:
-            return 1
-        v = order[depth]
-        found = 0
-        for w in cells[colors[v]]:
-            if not used[w] and fits(v, w, depth):
-                image[v] = w
-                used[w] = True
-                found += extend(depth + 1)
-                used[w] = False
-        image[v] = -1
-        return found
-
-    count = extend(0)
-    del extend  # it refers to itself: leave no cycle for the collector
-    return count
+def canonical_bytes(n: int, edges: Iterable[Edge], colors: Sequence[int]) -> bytes:
+    """The code of :func:`canonical_form` alone."""
+    return canonical_form(n, edges, colors)[0]
 
 
 class DagPattern(Record):
@@ -221,9 +178,11 @@ class DagPattern(Record):
         the shape of a galled network's component graph."""
         return all(mult == 2 for _, _, mult in self.edges)
 
-    def canonical_bytes(self) -> bytes:
+    def canonical_form(self) -> tuple[bytes, int]:
+        """Canonical bytes and the number of automorphisms, each fixing the
+        root: :func:`canonical_form` with the root in a colour of its own."""
         colors = [1 if v == self.root else 0 for v in range(self.m)]
-        return canonical_bytes(self.m, self.edges, colors)
+        return canonical_form(self.m, self.edges, colors)
 
-    def automorphism_count(self) -> int:
-        return automorphism_count(self.m, self.edges, self.root)
+    def canonical_bytes(self) -> bytes:
+        return self.canonical_form()[0]

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
-from phylocount import canon
-from phylocount.canon import DagPattern
 from phylocount.series import Egf, validated_from
 from phylocount.onecomp import admit_rule, block_count, block_series, closed_form, pattern_egf
 
@@ -25,24 +24,28 @@ MAX_PATTERN_VERTICES = 8
 
 
 @functools.cache
-def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
+def enumerate_patterns(m: int) -> tuple[tuple["canon.DagPattern", int], ...]:
     """All isomorphism classes of m-vertex patterns with their symmetry counts,
     sorted by canonical code.
 
     Generation assigns each non-root vertex its incoming edges from
     lower-indexed vertices (every DAG admits such a labeling) and dedupes by
-    canonical form.
+    canonical form; the search that gives a class its code also counts its
+    automorphisms.
     """
+    # imported here: the series routes never load canon
+    from phylocount.canon import DagPattern
+
     if not 1 <= m <= MAX_PATTERN_VERTICES:
         raise ValueError(f"pattern enumeration supports 1 <= m <= {MAX_PATTERN_VERTICES}")
-    seen: dict[bytes, DagPattern] = {}
+    seen: dict[bytes, tuple[DagPattern, int]] = {}
 
     def assign(v: int, edges: list[tuple[int, int, int]], keys: list[tuple[int, ...]]):
         if v == m:
             pattern = DagPattern(m, tuple(sorted(edges)))
-            code = pattern.canonical_bytes()
+            code, symmetry = pattern.canonical_form()
             if code not in seen:
-                seen[code] = pattern
+                seen[code] = pattern, symmetry
             return
         # adjacent-swap cut: if the previous vertex is not a parent of v,
         # swapping the two labels yields an isomorph generated elsewhere, so
@@ -61,20 +64,16 @@ def enumerate_patterns(m: int) -> tuple[tuple[DagPattern, int], ...]:
                     assign(v + 1, edges + [(p1, v, 1), (p2, v, 1)], keys + [key])
 
     assign(1, [], [])
-    return tuple(
-        (pattern, pattern.automorphism_count())
-        for _, pattern in sorted(seen.items())
-    )
+    return tuple(entry for _, entry in sorted(seen.items()))
 
 
-def pattern_term(pattern: DagPattern, symmetry: int, order: int) -> Egf:
+def pattern_term(pattern: "canon.DagPattern", symmetry: int, order: int) -> Egf:
     """One pattern's share of the pattern sum: the product of its vertex
     series, each :func:`onecomp.block_series` of the vertex's profile
-    (:meth:`canon.DagPattern.profile`), weighted by 1/symmetry."""
-    term = Egf.one(order)
-    for v in range(pattern.m):
-        term = term * block_series(*pattern.profile(v), order)
-    return term.scale(Fraction(1, symmetry))
+    (:meth:`canon.DagPattern.profile`), weighted by 1/symmetry.  The product
+    starts from vertex 0, the root of every catalog pattern."""
+    series = (block_series(*pattern.profile(v), order) for v in range(pattern.m))
+    return functools.reduce(operator.mul, series).scale(Fraction(1, symmetry))
 
 
 def pattern_sum_egf(cls: str, rets: int, order: int) -> Egf:
@@ -147,6 +146,8 @@ def rv_component_sum(leaves: int) -> int:
     if not 1 <= leaves <= MAX_COMPONENT_SUM_LEAVES:
         raise ValueError(f"component sum supports 1 <= leaves <= {MAX_COMPONENT_SUM_LEAVES}")
     from itertools import permutations
+
+    from phylocount import canon
 
     seen: set[bytes] = set()
     total = 0

@@ -158,8 +158,6 @@ def _closed_forms_match(threshold, closed_form, egf, zeros):
 def _tree_sum():
     for l in range(1, 6):
         by_rets = galled.galled_tree_sum_by_rets(l)
-        if sum(by_rets) != galled.galled_tree_sum(l):
-            return False
         if any(value != galled.galled_count(l, k) for k, value in enumerate(by_rets)):
             return False
     return True

@@ -42,8 +42,8 @@ def _fresh(script: str):
         ("blocks --lmax 12 --kmax 3", NETWORK_MODULES | {"dataclasses"}),
         ("count --class pn --leaves 2 --rets 1 --method brute", SERIES_MODULES | {"phylocount.canon", "dataclasses"}),
         ("count --class rv --leaves 17 --rets 3", NOT_VISIBLE | {"phylocount.io"}),
-        ("count --class rv --leaves 12 --rets 4 --method dagsum", NOT_VISIBLE | {"phylocount.io"}),
-        ("table --class rv --lmax 6 --kmax 3", NOT_VISIBLE | {"phylocount.io"}),
+        ("count --class rv --leaves 12 --rets 4 --method dagsum", NOT_VISIBLE | {"phylocount.io", "phylocount.canon"}),
+        ("table --class rv --lmax 6 --kmax 3", NOT_VISIBLE | {"phylocount.io", "phylocount.canon"}),
         ("patterns --m 4", NOT_VISIBLE),
         ("verify --suite galled", {"mpmath"}),
         ("verify --suite onecomp", {"mpmath"}),

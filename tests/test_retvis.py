@@ -109,15 +109,15 @@ def test_pattern_routes_reject_a_class_without_profiles():
             route("tc", 2, 5)
 
 
-def permutation_scan_automorphisms(n, edges, root):
-    """Reference: every permutation fixing the root, checked edge by edge."""
+def permutation_scan_automorphisms(n, edges, colors):
+    """Reference: every colour-preserving permutation, checked edge by edge."""
     mult = {}
     for u, w, m in edges:
         mult[(u, w)] = mult.get((u, w), 0) + m
-    others = [v for v in range(n) if v != root]
     count = 0
-    for perm in permutations(others):
-        image = {root: root, **dict(zip(others, perm))}
+    for image in permutations(range(n)):
+        if any(colors[image[v]] != colors[v] for v in range(n)):
+            continue
         if all(mult.get((image[u], image[w]), 0) == m for (u, w), m in mult.items()):
             count += 1
     return count
@@ -127,13 +127,38 @@ def test_automorphism_count_matches_permutation_scan():
     rng = random.Random(5)
     for m in range(1, 7):
         for pattern, symmetry in enumerate_patterns(m):
-            assert symmetry == permutation_scan_automorphisms(m, pattern.edges, 0)
+            root_colored = [int(v == 0) for v in range(m)]
+            assert symmetry == permutation_scan_automorphisms(m, pattern.edges, root_colored)
             # a copy with every vertex relabelled, the root included
             perm = list(range(m))
             rng.shuffle(perm)
             edges = [(perm[u], perm[w], mult) for u, w, mult in pattern.edges]
             rng.shuffle(edges)
-            assert canon.automorphism_count(m, edges, perm[0]) == symmetry
+            colors = [int(v == perm[0]) for v in range(m)]
+            assert canon.canonical_form(m, edges, colors) == pattern.canonical_form()
+
+
+def test_colored_automorphism_count_matches_permutation_scan():
+    # random coloured multigraphs, few colours so that twins and larger
+    # groups occur; an isomorphic copy gets the same code and count
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        density = rng.choice([0.2, 0.4, 0.6])
+        edges = [
+            (u, w, rng.randint(1, 2))
+            for u in range(n) for w in range(n) if u != w and rng.random() < density
+        ]
+        colors = [rng.randrange(rng.randint(2, 3)) for _ in range(n)]
+        code, count = canon.canonical_form(n, edges, colors)
+        assert count == permutation_scan_automorphisms(n, edges, colors), (n, edges, colors)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = [(perm[u], perm[w], m) for u, w, m in edges]
+        copy_colors = [0] * n
+        for v in range(n):
+            copy_colors[perm[v]] = colors[v]
+        assert canon.canonical_form(n, copy, copy_colors) == (code, count)
 
 
 def test_saturated_counts_through_the_series():
