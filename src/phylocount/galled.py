@@ -99,7 +99,8 @@ def multifurcating_trees(labels: tuple):
     """Rooted multifurcating leaf-labeled trees over `labels`.
 
     A tree is either a bare label or a tuple of >= 2 subtrees; every internal
-    vertex has outdegree >= 2.
+    vertex has outdegree >= 2.  Each tree comes once: its root's subtrees
+    split the labels by one set partition, and each partition comes once.
     """
     if len(labels) == 1:
         yield labels[0]
@@ -107,8 +108,7 @@ def multifurcating_trees(labels: tuple):
     for partition in set_partitions(labels):
         if len(partition) < 2:
             continue
-        for kids in product(*(tuple(multifurcating_trees(block)) for block in partition)):
-            yield tuple(sorted(kids, key=repr))
+        yield from product(*(tuple(multifurcating_trees(block)) for block in partition))
 
 
 MAX_TREE_SUM_LEAVES = 7

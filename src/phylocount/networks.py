@@ -159,24 +159,19 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int]]:
     if found != expected:
         errors.append(f"leaf labels {found} are not a bijection with {expected}")
     errors += not_leaves + bad_degrees
-    # a topological order from the sole root that takes in every vertex
-    # proves the network acyclic and reachable; only a network that fails
-    # that, or is already faulty, pays for the search that names the fault:
-    # depth first, on an explicit stack of child iterators, stopping at the
-    # first edge back onto the stack
-    if not errors and len(_topo_order(net, indeg)) == n:
-        return (), indeg
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
+    # one depth-first search from the root, on an explicit stack of child
+    # iterators, notes every edge back onto the path and walks on, so it
+    # also finds every vertex the root reaches
+    state = [0] * n  # 0 unvisited, 1 on the path, 2 done
     state[root] = 1
     path = [root]
     stack = [iter(children[root])]
+    cycle = False
     while stack:
         for w in stack[-1]:
             if state[w] == 1:
-                errors.append("the edge relation has a directed cycle")
-                stack.clear()
-                break
-            if not state[w]:
+                cycle = True
+            elif not state[w]:
                 state[w] = 1
                 path.append(w)
                 stack.append(iter(children[w]))
@@ -184,6 +179,8 @@ def _find_errors(net: Network) -> tuple[tuple[str, ...], list[int]]:
         else:
             state[path.pop()] = 2
             stack.pop()
+    if cycle:
+        errors.append("the edge relation has a directed cycle")
     unreachable = [v for v in range(n) if not state[v]]
     if unreachable:
         errors.append(f"vertices {unreachable} are unreachable from the root")
@@ -359,26 +356,22 @@ def component_graph(net: Network) -> ComponentGraph:
     n = net.n
     indeg = net._indeg
     parents = net.parents()
-    comp_root: list[int] = [-1] * n  # representative network vertex per vertex
-
-    def walk_up(v: int) -> int:
-        seen = []
-        while comp_root[v] == -1 and not (indeg[v] == 2 or v == net.root):
-            seen.append(v)
-            v = parents[v][0]
-        rep = comp_root[v] if comp_root[v] != -1 else v
-        for u in seen:
-            comp_root[u] = rep
-        comp_root[v] = rep
-        return rep
-
-    for v in range(n):
-        walk_up(v)
+    # each vertex's component, named by its head, in one pass down from the
+    # root: a reticulation heads its own, every other vertex takes its parent's
+    head = [-1] * n
+    head[net.root] = net.root
+    stack = [net.root]
+    while stack:
+        v = stack.pop()
+        for w in net.children[v]:
+            if head[w] < 0:
+                head[w] = w if indeg[w] == 2 else head[v]
+                stack.append(w)
     reps = [net.root] + sorted(v for v in range(n) if indeg[v] == 2)
     index = {rep: i for i, rep in enumerate(reps)}
     edges: list[tuple[int, int, int]] = []
     for r in reps[1:]:
-        sources = [index[comp_root[p]] for p in parents[r]]
+        sources = [index[head[p]] for p in parents[r]]
         dst = index[r]
         if sources[0] == sources[1]:
             edges.append((sources[0], dst, 2))
@@ -388,7 +381,7 @@ def component_graph(net: Network) -> ComponentGraph:
     attached: list[list[int]] = [[] for _ in reps]
     for v in range(n):
         if net.leaf_labels[v]:
-            attached[index[comp_root[v]]].append(net.leaf_labels[v])
+            attached[index[head[v]]].append(net.leaf_labels[v])
     has_out = {src for src, _, _ in edges}
     terminal = [0] * len(reps)
     for _, dst, mult in edges:

@@ -145,7 +145,7 @@ def rv_component_sum(leaves: int) -> int:
     """
     if not 1 <= leaves <= MAX_COMPONENT_SUM_LEAVES:
         raise ValueError(f"component sum supports 1 <= leaves <= {MAX_COMPONENT_SUM_LEAVES}")
-    from itertools import permutations
+    from itertools import combinations, permutations, product
 
     from phylocount import canon
 
@@ -157,10 +157,16 @@ def rv_component_sum(leaves: int) -> int:
     # cross-checked against the pattern-sum counts, which certifies the cap.
     max_internal = 1 if leaves == 1 else 3 * leaves - 3
     for internal in range(1, max_internal + 1):
-        for parent_sets in _internal_parent_choices(internal):
-            for counts in _leaf_count_vectors(internal, leaves):
-                if not _shape_admissible(internal, parent_sets, counts):
-                    continue
+        # vertex v > 0 takes one or two parents among 0..v-1; the leaves are
+        # spread over the vertices by stars and bars
+        choices = [[(p,) for p in range(v)] + list(combinations(range(v), 2)) for v in range(1, internal)]
+        end = leaves + internal - 1
+        spreads = [
+            [b - a - 1 for a, b in zip((-1,) + bars, bars + (end,))]
+            for bars in combinations(range(end), internal - 1)
+        ]
+        for parent_sets in product(*choices):
+            for counts in spreads:
                 weight = _shape_weight(internal, parent_sets, counts)
                 if weight == 0:
                     continue
@@ -171,53 +177,6 @@ def rv_component_sum(leaves: int) -> int:
                         seen.add(code)
                         total += weight
     return total
-
-
-def _internal_parent_choices(internal: int):
-    def rec(v: int, acc):
-        if v == internal:
-            yield tuple(acc)
-            return
-        for p in range(v):
-            yield from rec(v + 1, acc + [(p,)])
-        for p1 in range(v):
-            for p2 in range(p1 + 1, v):
-                yield from rec(v + 1, acc + [(p1, p2)])
-
-    yield from rec(1, [])
-
-
-def _leaf_count_vectors(internal: int, leaves: int):
-    def rec(v: int, remaining: int, acc):
-        if v == internal - 1:
-            yield tuple(acc + [remaining])
-            return
-        for c in range(remaining + 1):
-            yield from rec(v + 1, remaining - c, acc + [c])
-
-    yield from rec(0, leaves, [])
-
-
-def _shape_admissible(internal: int, parent_sets, counts) -> bool:
-    indeg = [0] * internal
-    out_total = list(counts)
-    for v, parents in enumerate(parent_sets, start=1):
-        indeg[v] = len(parents)
-        for p in parents:
-            out_total[p] += 1
-    for v in range(internal):
-        if out_total[v] == 0:
-            return False  # internal sink
-        if v > 0 and indeg[v] == 1 and out_total[v] == 1:
-            return False  # suppressed unary vertex
-    for v in range(internal):
-        kids = [w for w in range(1, internal) if v in parent_sets[w - 1]]
-        has_non_ret_kid = counts[v] > 0 or any(indeg[w] == 1 for w in kids)
-        if not has_non_ret_kid:
-            return False  # tree-child violation
-        if indeg[v] == 2 and out_total[v] == 1 and kids and indeg[kids[0]] == 1:
-            return False  # reticulation followed by a single internal vertex
-    return True
 
 
 def _shape_code(canon, internal: int, parent_sets, leaf_parents) -> bytes:
@@ -234,19 +193,25 @@ def _shape_code(canon, internal: int, parent_sets, leaf_parents) -> bytes:
 
 
 def _shape_weight(internal: int, parent_sets, counts) -> int:
-    indeg = [0] * internal
+    """The product of the per-vertex block sums of a shape, or 0 when the
+    shape is not admissible."""
+    indeg = [0] + [len(parents) for parents in parent_sets]
+    kids: list[list[int]] = [[] for _ in range(internal)]
     for v, parents in enumerate(parent_sets, start=1):
-        indeg[v] = len(parents)
+        for p in parents:
+            kids[p].append(v)
     weight = 1
-    for v in range(internal):
-        kids = [w for w in range(1, internal) if v in parent_sets[w - 1]]
+    # bottom-up: the last vertices can have the fewest children, so most
+    # inadmissible shapes fail there before any block sum is taken
+    for v in reversed(range(internal)):
         leaf_kids = counts[v]
-        c = len(kids) + leaf_kids
-        c1 = sum(1 for w in kids if indeg[w] == 1)
-        factor = sum(
-            math.comb(leaf_kids, j) * block_count(c, c1 + j) for j in range(leaf_kids + 1)
-        )
-        weight *= factor
+        c = len(kids[v]) + leaf_kids
+        c1 = sum(1 for w in kids[v] if indeg[w] == 1)
+        if not leaf_kids and not c1:
+            return 0  # an internal sink, or a tree-child violation
+        if c == 1 and (indeg[v] == 1 or indeg[v] == 2 and c1):
+            return 0  # a suppressed unary vertex, or a reticulation over a lone tree vertex
+        weight *= sum(math.comb(leaf_kids, j) * block_count(c, c1 + j) for j in range(leaf_kids + 1))
         if weight == 0:
             return 0
     return weight

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from phylocount.cli import CLASSES, METHODS, main
+from phylocount.cli import CLASSES, METHODS, SERIES_METHODS, main
 from phylocount import io, onecomp, verify
 from phylocount.networks import Network
 
@@ -34,6 +34,12 @@ def test_count_closed_and_series_agree(capsys):
     series = json.loads(out)
     assert closed["value"] == series["value"]
     assert closed["method"] == "closed" and series["method"] == "series"
+
+
+def test_series_classes_are_the_pattern_profile_rows():
+    # the CLI routes a class to the series iff the pattern recurrence has a
+    # row for it; a new row lands in both modules
+    assert set(SERIES_METHODS) == set(onecomp.PATTERN_PROFILES)
 
 
 def test_count_trees(capsys):

@@ -76,10 +76,21 @@ def test_degree_violations_reported():
     # parallel edge
     dup = Network.build([[1], [2, 2], []], {2: 1})
     assert any("parallel" in e for e in validation_errors(dup))
-    # cycle: 1 -> 2 -> 1 is impossible with child lists alone, so test an
-    # unreachable piece instead via a self-referencing pair
+    # cycle: 1 -> 2 -> 1, which gives vertex 1 a third edge; every vertex is
+    # still reached from the root
     twisted = Network.build([[1], [2, 3], [3, 1], [4], []], {4: 1})
-    assert validation_errors(twisted)
+    assert validation_errors(twisted) == [
+        "internal vertex 1 has degrees (2, 2)",
+        "the edge relation has a directed cycle",
+    ]
+
+
+def test_cycle_is_the_only_fault_reported():
+    # the cycle 2 -> 3 -> 2 is the one fault: the search walks on past the
+    # edge that closes it, so it reaches both leaves and calls nothing
+    # unreachable
+    net = Network.build([[1], [2, 5], [3], [2, 4], [], []], {4: 1, 5: 2})
+    assert validation_errors(net) == ["the edge relation has a directed cycle"]
 
 
 def test_gadget_classification():

@@ -4,6 +4,7 @@ statement in the source, and a reader for every public function."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import pickle
@@ -260,3 +261,44 @@ def test_retvis_imports_nothing_from_galled():
         elif isinstance(node, ast.ImportFrom):
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert not {name for name in imported if name.startswith("phylocount.galled")}, imported
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+# span targets the package no longer defines: the tracer skips them and they
+# report zero
+STALE_SPAN_TARGETS = {"onecomp.block_shift_egf", "retvis.vertex_egf", "canon.automorphism_count"}
+
+
+def _defines(module: str, attr: str) -> bool:
+    owner = importlib.import_module(f"phylocount.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return True
+
+
+def test_benchmark_recorder_reads_only_defined_names():
+    # perfbench/record.py confirms pinned answers through these modules; a
+    # deletion here must not break it
+    modules = {"galled", "onecomp", "oracle", "retvis"}
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse((PERFBENCH / "record.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert read
+    assert not [f"{m}.{a}" for m, a in sorted(read) if not _defines(m, a)]
+
+
+def test_benchmark_span_targets_go_stale_only_as_reported():
+    # a traced layer whose function is gone reports zero; only the targets
+    # already known to be gone may do so
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    missing = {f"{module}.{attr}" for module, attr, _ in targets if not _defines(module, attr)}
+    assert missing <= STALE_SPAN_TARGETS, sorted(missing - STALE_SPAN_TARGETS)
