@@ -284,13 +284,14 @@ def _cmd_table(args) -> int:
     _check_oracle_cells(cls, lmax, kmax)
     # every cell is computed first, so a failing cell leaves no partial --out file
     rows = [[_table_cell(cls, l, k, lmax) for k in range(kmax + 1)] for l in range(1, lmax + 1)]
-    _write_lines(_table_lines(cls, args.format, rows), args.out)
+    _write_lines(_table_lines(cls, args.format, rows, kmax + 1), args.out)
     return 0
 
 
-def _table_lines(cls: str, fmt: str, rows: list[list[int]]):
+def _table_lines(cls: str, fmt: str, rows, columns: int):
     """The table as text, one CSV line (header first) or one JSON row at a
-    time; the counts become digits only as it is read."""
+    time; the counts become digits only as it is read.  CSV rows may come
+    from an iterator; JSON rows must be a list."""
     if fmt == "json":
         # the bytes json.dumps(..., sort_keys=True) gives the whole document;
         # row keys sort as strings: "1", "10", "11", ..., "2"
@@ -299,7 +300,7 @@ def _table_lines(cls: str, fmt: str, rows: list[list[int]]):
             yield f'{", " if i else ""}"{l}": {json.dumps(list(map(str, rows[l - 1])))}'
         yield "}}\n"
         return
-    yield "leaves," + ",".join(f"k={k}" for k in range(len(rows[0]))) + "\n"
+    yield "leaves," + ",".join(f"k={k}" for k in range(columns)) + "\n"
     for l, row in enumerate(rows, 1):
         yield f"{l}," + ",".join(map(str, row)) + "\n"
 
@@ -320,8 +321,12 @@ def _cmd_blocks(args) -> int:
 
     if args.lmax < 1 or args.kmax < 0:
         raise ValueError("need --lmax >= 1 and --kmax >= 0")
-    # the table is filled here, so a failure leaves no partial --out file
-    _write_lines(onecomp.block_table_lines(args.lmax, args.kmax), args.out)
+    # the table is filled here, from its far corner, so a failure leaves no
+    # partial --out file; each row is built only when it is written
+    onecomp.block_count(args.lmax, min(args.lmax, args.kmax))
+    columns = range(args.kmax + 1)
+    rows = ([onecomp.block_count(l, k) for k in columns] for l in range(1, args.lmax + 1))
+    _write_lines(_table_lines("blocks", "csv", rows, len(columns)), args.out)
     return 0
 
 

@@ -154,11 +154,6 @@ def formula_threshold(d: int) -> int:
     return validated_from(lambda n: sqrt_pow_coeff_formula(d, n) == exact[n], 0, FORMULA_N_MAX)
 
 
-def formula_threshold_table() -> dict[int, int]:
-    """Validity thresholds of the coefficient formula for each d in FORMULA_EXPONENTS."""
-    return {d: formula_threshold(d) for d in FORMULA_EXPONENTS}
-
-
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

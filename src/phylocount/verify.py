@@ -61,7 +61,8 @@ def run_suite(name: str) -> list[CheckResult]:
 
 @functools.cache
 def _formula_thresholds() -> dict[int, int]:
-    return series.formula_threshold_table()
+    """Validity thresholds of the coefficient formula for each d in series.FORMULA_EXPONENTS."""
+    return {d: series.formula_threshold(d) for d in series.FORMULA_EXPONENTS}
 
 
 def _formula_threshold_bound():

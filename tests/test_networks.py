@@ -224,29 +224,6 @@ def test_dag_pattern_invariants():
         DagPattern(2, ((0, 1, 3),))  # multiplicity out of range
 
 
-def test_pattern_automorphism_counts():
-    star = DagPattern(3, ((0, 1, 2), (0, 2, 2)))
-    assert star.canonical_form()[1] == 2
-    chain = DagPattern(3, ((0, 1, 2), (1, 2, 2)))
-    assert chain.canonical_form()[1] == 1
-    big_star = DagPattern(4, ((0, 1, 2), (0, 2, 2), (0, 3, 2)))
-    assert big_star.canonical_form()[1] == 6
-    single = DagPattern(1, ())
-    assert single.canonical_form()[1] == 1
-
-
-def test_automorphism_divides_factorial():
-    import math
-
-    patterns = [
-        DagPattern(4, ((0, 1, 2), (0, 2, 2), (0, 3, 2))),
-        DagPattern(4, ((0, 1, 2), (1, 2, 2), (2, 3, 2))),
-        DagPattern(4, ((0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1))),
-    ]
-    for p in patterns:
-        assert math.factorial(p.m - 1) % p.canonical_form()[1] == 0
-
-
 def test_canonical_bytes_rejects_self_loops():
     with pytest.raises(ValueError):
         canon.canonical_bytes(2, [(0, 0, 1)], [0, 1])
